@@ -42,7 +42,6 @@ from .spectral import (
     dft,
     idft,
     increment_cf,
-    quadrature_weights,
 )
 from .transform import (
     DEFAULT_EPSILON,
@@ -91,7 +90,6 @@ __all__ = [
     "dft",
     "idft",
     "increment_cf",
-    "quadrature_weights",
     "TransformCoefficients",
     "DEFAULT_EPSILON",
     "SLOPE_TIE_TOLERANCE",

@@ -134,12 +134,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             if key in data:
                 extra[key] = data[key]
 
-    flag_to_market = {
-        "spot": "S0", "strike": "K", "rate": "r", "borrow_rate": "R",
-        "mu": "mu", "div": "div", "sigma": "sigma", "maturity": "T",
-        "style": "style",
-    }
-    for flag, field in flag_to_market.items():
+    for flag, field in _MARKET_KEYS.items():
         value = getattr(args, flag, None)
         if value is not None:
             market_kwargs[field] = value
@@ -231,12 +226,12 @@ def _closed_form_available(market: MarketParams) -> bool:
 
 
 def _solve_market(market: MarketParams, numerics: Numerics, n=None, scheme=None):
+    """Build and solve the pricing problem; return (problem, surface)."""
     n = numerics.n if n is None else n
     scheme = numerics.scheme if scheme is None else scheme
     problem = build_pricing_problem(market, n, scheme)
     grid = build_grid(problem.x_init, numerics.half_width, numerics.log2N)
-    surface = solve(problem, grid, epsilon=numerics.epsilon)
-    return surface
+    return problem, solve(problem, grid, epsilon=numerics.epsilon)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -249,7 +244,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_price(config: RunConfig) -> int:
     started = time.perf_counter()
-    surface = _solve_market(config.market, config.numerics)
+    _, surface = _solve_market(config.market, config.numerics)
     y0, z0 = value_at_start(surface)
     delta = extract_delta(surface, config.market)
     runtime_ms = (time.perf_counter() - started) * 1e3
@@ -290,7 +285,7 @@ def cmd_table(config: RunConfig) -> int:
             for n in config.n_list:
                 label = NAME_BY_SCHEME[scheme]
                 try:
-                    surface = _solve_market(market, config.numerics, n=n, scheme=scheme)
+                    _, surface = _solve_market(market, config.numerics, n=n, scheme=scheme)
                     y0, _ = value_at_start(surface)
                     delta = extract_delta(surface, market)
                     ref_price, _ = _reference(market, n)
@@ -323,7 +318,7 @@ def cmd_error_surface(config: RunConfig) -> int:
             "either european style or zero dividend"
         )
     market = config.market
-    surface = _solve_market(market, config.numerics)
+    _, surface = _solve_market(market, config.numerics)
     x = surface.grid.space_nodes(include_right=True)
     spots = np.exp(x)
     ref_price, ref_delta = black_scholes_call_curve(
@@ -372,7 +367,7 @@ def cmd_converge(config: RunConfig) -> int:
     rows = []
     errors = []
     for idx, n in enumerate(config.n_list):
-        surface = _solve_market(market, config.numerics, n=n)
+        _, surface = _solve_market(market, config.numerics, n=n)
         y0, _ = value_at_start(surface)
         err = abs(y0 - ref)
         errors.append(err)
@@ -393,10 +388,7 @@ def cmd_converge(config: RunConfig) -> int:
 
 
 def cmd_paths(config: RunConfig) -> int:
-    market = config.market
-    problem = build_pricing_problem(market, config.numerics.n, config.numerics.scheme)
-    grid = build_grid(problem.x_init, config.numerics.half_width, config.numerics.log2N)
-    surface = solve(problem, grid, epsilon=config.numerics.epsilon)
+    problem, surface = _solve_market(config.market, config.numerics)
     bundles = simulate_paths(problem, surface, config.path_count, config.seed)
     rows = []
     for bundle in bundles:
@@ -481,9 +473,6 @@ def main(argv=None) -> int:
     except SolveAborted as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -37,12 +37,8 @@ def black_scholes_call(
     for name, value in (("S0", S0), ("K", K), ("sigma", sigma), ("T", T)):
         if not value > 0:
             raise ValueError(f"{name} must be positive")
-    sq = sigma * np.sqrt(T)
-    d1 = (np.log(S0 / K) + (r - delta_div + 0.5 * sigma * sigma) * T) / sq
-    d2 = d1 - sq
-    disc_s = np.exp(-delta_div * T)
-    price = S0 * disc_s * norm.cdf(d1) - K * np.exp(-r * T) * norm.cdf(d2)
-    return BsResult(price=float(price), delta=float(disc_s * norm.cdf(d1)))
+    price, delta = black_scholes_call_curve(S0, K, r, delta_div, sigma, T)
+    return BsResult(price=float(price), delta=float(delta))
 
 
 def black_scholes_call_curve(

@@ -42,6 +42,9 @@ class MarketParams:
     style: str = STYLE_EUROPEAN
 
     def __post_init__(self):
+        for name in ("S0", "K", "r", "R", "mu", "div", "sigma", "T"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("S0", "K", "sigma", "T"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

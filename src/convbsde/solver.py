@@ -109,12 +109,13 @@ class _StepConvolver:
                     PsiKind(kind, coeffs.alpha, self.dt, float(a[k]), float(s[k]))
                     for k in range(self.grid.N)
                 ]
-                theta = convolve_step_statedep(eta, self.grid, nodes)
-                res = 0.0
-            adjustment = adjustment_H(
+                theta, res = convolve_step_statedep(
+                    eta, self.grid, nodes, return_residual=True
+                )
+            image = adjustment_H(
                 self.x, coeffs, kind, forward_drift=a * self.dt, forward_vol=s
             )
-            outputs.append(regrow * (theta - adjustment))
+            outputs.append(regrow * theta - image)
             residual = max(residual, res)
         return outputs, coeffs, residual
 
@@ -141,8 +142,10 @@ def solve(
     Raises
     ------
     SolveAborted
-        On a non-finite solution value or an excessive imaginary
-        residual, with the offending step index.
+        On a non-finite solution value, an excessive imaginary residual
+        or a ValueError raised inside a step (by the fit, transform,
+        adjustment, coefficients or driver), with the offending step
+        index.
     ValueError
         On inconsistent problem/grid data (center mismatch, terminal
         payoff below the barrier).
@@ -201,7 +204,7 @@ def solve(
                 )
                 udot_i = vdot
                 residual = max(res1, res2)
-        except ImaginaryResidualError as exc:
+        except (ImaginaryResidualError, ValueError) as exc:
             raise SolveAborted(i, str(exc)) from exc
 
         active = 0

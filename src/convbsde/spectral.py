@@ -1,19 +1,20 @@
-"""DFT conventions and the spectral convolution step.
+"""The spectral convolution step.
 
-The conditional expectations appearing in one backward Euler step are
-convolutions of the (periodized) solution samples against a Gaussian
-kernel.  On the coupled grids of :mod:`convbsde.grid` they reduce to
+One backward Euler step convolves the periodized samples eta against
+the increment law of the forward process.  On the coupled grids of
+:mod:`convbsde.grid` that is theta_k = (1/N) sum_m psi(m*dnu) F_m
+exp(2*pi*i*m*k/N) over m = -N/2..N/2-1, with F = fft(eta) and psi the
+characteristic-function multiplier.  For real drift, vol and alpha,
+psi is Hermitian, psi(-nu) = conj(psi(nu)), so bins m and -m pair up and
 
-    theta(x_k) = (-1)^k * idft( psi(nu_j) * dft((-1)^i * w_i * eta(x_i)) )_k
+    theta = irfft(psi(nu_m) * rfft(eta), N),   nu_m = m*dnu,  m = 0..N/2.
 
-where psi is the characteristic-function multiplier of the increment
-and w the folded quadrature weights.  The alternating signs come from
-the frequency grid starting at -L/2 rather than 0.
+Only the Nyquist bin m = -N/2 is unpaired.  irfft drops the imaginary
+part of its term, which has magnitude |Im(psi(nu_{N/2}) F_{N/2})| / N at
+every node: the imaginary residual in closed form.
 
-The forward DFT here carries the 1/N factor and the inverse carries
-none.  Note the two scale factors cancel in the convolution formula,
-and since N is a power of two the cancellation is exact in floating
-point as well.
+``dft`` and ``idft`` state the DFT convention: the forward transform
+carries the 1/N factor, the inverse none.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from .transform import EXPECTATION, GRADIENT
 
 # Largest tolerated imaginary residual of a convolution output,
 # relative to its real magnitude.  A breach signals a mis-specified
-# multiplier or transform rather than roundoff.
+# multiplier or an unresolved kernel rather than roundoff.
 IMAG_RESIDUAL_TOLERANCE = 1e-8
+
+# Rows per block of the state-dependent step; bounds its work arrays.
+_ROW_BLOCK = 16
 
 
 class ImaginaryResidualError(ArithmeticError):
@@ -54,17 +58,18 @@ def idft(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(values) * values.shape[-1]
 
 
-def increment_cf(nu, step: float, drift: float, vol: float):
+def increment_cf(nu, step: float, drift, vol):
     """Characteristic function of one forward increment.
 
     The increment over a step is drift*step + vol*dW with dW normal of
     variance step, so the characteristic function is
     exp(step*(i*drift*nu - vol^2*nu^2/2)).  ``nu`` may be complex; a
-    dampened convolution evaluates it at nu - i*alpha.
+    dampened convolution evaluates it at nu - i*alpha.  drift and vol
+    may be arrays that broadcast against nu.
     """
     if not step > 0:
         raise ValueError("step must be positive")
-    if not vol > 0:
+    if not np.all(np.asarray(vol) > 0):
         raise ValueError("vol must be positive")
     nu = np.asarray(nu, dtype=complex)
     out = np.exp(step * (1j * drift * nu - 0.5 * vol * vol * nu * nu))
@@ -99,40 +104,24 @@ class PsiKind:
         raise ValueError(f"unknown psi tag: {self.tag!r}")
 
 
-def quadrature_weights(N: int, rule: str = "trapezoid") -> np.ndarray:
-    """Folded quadrature weights for the space-axis integral.
-
-    The composite rule runs over N+1 nodes but the DFT sees only N, so
-    the weight at x_N is folded onto x_0 (the integrand is periodized).
-    For the trapezoid rule the half weights at both ends combine to 1
-    and every folded weight is 1.
-    """
-    if N % 2 != 0 or N < 2:
-        raise ValueError("N must be even and positive")
-    if rule != "trapezoid":
-        raise ValueError(f"unsupported quadrature rule: {rule!r}")
-    return np.ones(N)
+def _check_eta(eta, grid: GridPair) -> np.ndarray:
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim != 1 or eta.size != grid.N:
+        raise ValueError(f"eta must have length N = {grid.N}")
+    return eta
 
 
-def _alternating_signs(N: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.arange(N) % 2)
-
-
-def _to_real(values: np.ndarray) -> np.ndarray:
-    real = values.real
-    max_re = float(np.max(np.abs(real))) if real.size else 0.0
-    max_im = float(np.max(np.abs(values.imag))) if real.size else 0.0
-    if max_im > IMAG_RESIDUAL_TOLERANCE * max(max_re, 1e-300):
-        raise ImaginaryResidualError(max_im / max(max_re, 1e-300), IMAG_RESIDUAL_TOLERANCE)
-    return real
+def _guard(theta: np.ndarray, nyquist_imag: float, N: int, return_residual: bool):
+    """Relative imaginary residual from the Nyquist bin; raise above tolerance."""
+    max_re = max(float(np.max(np.abs(theta))), 1e-300)
+    residual = nyquist_imag / N / max_re
+    if residual > IMAG_RESIDUAL_TOLERANCE:
+        raise ImaginaryResidualError(residual, IMAG_RESIDUAL_TOLERANCE)
+    return (theta, residual) if return_residual else theta
 
 
 def convolve_step(
-    eta: np.ndarray,
-    grid: GridPair,
-    psi: PsiKind,
-    weights: np.ndarray | None = None,
-    return_residual: bool = False,
+    eta: np.ndarray, grid: GridPair, psi: PsiKind, return_residual: bool = False
 ):
     """Convolve transformed samples against the psi multiplier.
 
@@ -142,51 +131,58 @@ def convolve_step(
 
     With ``return_residual`` the relative imaginary residual that was
     discarded is returned alongside theta.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim != 1 or eta.size != grid.N:
-        raise ValueError(f"eta must have length N = {grid.N}")
-    if weights is None:
-        weights = quadrature_weights(grid.N)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != eta.shape:
-        raise ValueError("weights length must match eta")
 
-    signs = _alternating_signs(grid.N)
-    spectrum = dft(signs * weights * eta)
-    theta_c = signs * idft(psi.values(grid.freq_nodes()) * spectrum)
-    theta = _to_real(theta_c)
-    if return_residual:
-        max_re = max(float(np.max(np.abs(theta))), 1e-300)
-        return theta, float(np.max(np.abs(theta_c.imag))) / max_re
-    return theta
+    Raises
+    ------
+    ImaginaryResidualError
+        If that residual exceeds ``IMAG_RESIDUAL_TOLERANCE``.
+    """
+    eta = _check_eta(eta, grid)
+    nu = grid.dnu * np.arange(grid.N // 2 + 1)
+    product = psi.values(nu) * np.fft.rfft(eta)
+    theta = np.fft.irfft(product, grid.N)
+    return _guard(theta, abs(product[-1].imag), grid.N, return_residual)
 
 
 def convolve_step_statedep(
-    eta: np.ndarray, grid: GridPair, psi_per_node: list[PsiKind]
-) -> np.ndarray:
+    eta: np.ndarray,
+    grid: GridPair,
+    psi_per_node: list[PsiKind],
+    return_residual: bool = False,
+):
     """Convolution step with a separate psi multiplier per space node.
 
     Needed when drift or vol depend on the state: node x_k then carries
-    its own increment law, frozen at the conditioning point.  The
-    inverse transform no longer factorizes into a single FFT, so each
-    output row is summed explicitly; the kernel matrix is materialized
-    one row at a time to keep memory O(N).  Coincides with
-    ``convolve_step`` when every node has the same psi.
+    its own increment law, frozen at the conditioning point, and the
+    inverse FFT no longer applies.  Row k is the real-FFT formula
+    summed out, theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N) psi_k(nu_m)
+    F_m) with F = rfft(eta) and c = 1, 2, ..., 2, 1, in blocks of rows.
+    All nodes must share tag, alpha and step.  The residual guard takes
+    the largest per-row Nyquist term.
     """
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim != 1 or eta.size != grid.N:
-        raise ValueError(f"eta must have length N = {grid.N}")
-    if len(psi_per_node) != grid.N:
-        raise ValueError("need one PsiKind per space node")
-
+    eta = _check_eta(eta, grid)
     N = grid.N
-    signs = _alternating_signs(N)
-    nu = grid.freq_nodes()
-    spectrum = dft(signs * quadrature_weights(N) * eta)
-    theta_c = np.empty(N, dtype=complex)
-    j = np.arange(N)
-    for k in range(N):
-        row = np.exp((2j * np.pi * k / N) * j)
-        theta_c[k] = signs[k] * np.dot(row, psi_per_node[k].values(nu) * spectrum)
-    return _to_real(theta_c)
+    if len(psi_per_node) != N:
+        raise ValueError("need one PsiKind per space node")
+    first = psi_per_node[0]
+    shared = (first.tag, first.alpha, first.step)
+    if any((p.tag, p.alpha, p.step) != shared for p in psi_per_node):
+        raise ValueError("state-dependent rows must share tag, alpha and step")
+    drift = np.array([p.drift for p in psi_per_node], dtype=float)[:, None]
+    vol = np.array([p.vol for p in psi_per_node], dtype=float)[:, None]
+
+    nu = grid.dnu * np.arange(N // 2 + 1)
+    spectrum = np.fft.rfft(eta)
+    pair_count = np.full(nu.size, 2.0)
+    pair_count[[0, -1]] = 1.0
+    m = np.arange(nu.size)
+    roots = np.exp((2j * np.pi / N) * np.arange(N))
+    theta = np.empty(N)
+    nyquist_imag = np.empty(N)
+    for start in range(0, N, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        k = np.arange(start, min(start + _ROW_BLOCK, N))[:, None]
+        block = PsiKind(*shared, drift[rows], vol[rows]).values(nu) * spectrum
+        theta[rows] = (roots[(k * m) % N] * block).real @ pair_count / N
+        nyquist_imag[rows] = np.abs(block[:, -1].imag)
+    return _guard(theta, float(np.max(nyquist_imag)), N, return_residual)

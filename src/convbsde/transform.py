@@ -8,10 +8,10 @@ cure used here modifies the samples to
     eta_mod(x) = exp(-alpha*x) * (eta(x) + beta*x + kappa)
 
 with (alpha, beta, kappa) chosen so eta_mod agrees at a and b in value
-and first derivative.  The linear term beta*x + kappa is not lost: after
-convolving, a closed-form adjustment H removes its image exactly, and
-the exponential dampening is undone by shifting the frequency argument
-of the convolution multiplier.
+and first derivative.  The exponential dampening is undone by shifting
+the frequency argument of the convolution multiplier and regrowing the
+output by exp(alpha*x); the linear term beta*x + kappa is not lost,
+because a closed-form adjustment H then removes its image exactly.
 """
 
 from __future__ import annotations
@@ -129,9 +129,11 @@ def adjustment_H(
 ):
     """Image of the injected linear term under the convolution step.
 
-    Subtracting H from the convolved output undoes the beta*x + kappa
-    injection in closed form.  ``forward_drift`` is the drift increment
-    a(t, x)*step of the forward process over one time step and
+    Subtracting H from the regrown output exp(alpha*x)*theta undoes the
+    beta*x + kappa injection in closed form.  H is
+    beta*(x + forward_drift) + kappa for the expectation and
+    beta*forward_vol for the gradient.  ``forward_drift`` is the drift
+    increment a(t, x)*step of the forward process over one time step and
     ``forward_vol`` its diffusion coefficient; pass 0 and 1 for a pure
     Brownian problem.
 
@@ -152,11 +154,10 @@ def adjustment_H(
     float or ndarray
     """
     x = np.asarray(x, dtype=float)
-    damp = np.exp(-coeffs.alpha * x)
     if kind == EXPECTATION:
-        out = damp * (coeffs.beta * (x + forward_drift) + coeffs.kappa)
+        out = coeffs.beta * (x + forward_drift) + coeffs.kappa
     elif kind == GRADIENT:
-        out = damp * coeffs.beta * np.asarray(forward_vol, dtype=float)
+        out = coeffs.beta * np.asarray(forward_vol, dtype=float)
     else:
         raise ValueError(f"unknown adjustment kind: {kind!r}")
     if not np.all(np.isfinite(out)):

@@ -90,6 +90,27 @@ def test_invalid_market_value_is_a_config_error(capsys):
     assert "config error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, field", [("--rate", "r"), ("--borrow-rate", "R"), ("--mu", "mu"), ("--div", "div")]
+)
+def test_non_finite_market_value_is_a_config_error(flag, field, capsys):
+    rc = main(["price", "--n", "20", "--log2N", "8", flag, "nan"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"{field} must be finite" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_value_error_inside_solve_exits_with_numerical_abort(capsys):
+    # a finite but absurd vol overflows the closed-form adjustment in
+    # the first backward step; that is a numerical abort, not a config
+    # error, and the message names the step
+    rc = main(["price", "--n", "50", "--log2N", "8", "--sigma", "1e200"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "solve aborted at step 49: non-finite adjustment value" in captured.err
+
+
 def test_unresolvable_kernel_exits_with_numerical_abort(capsys):
     # far too coarse a space grid for this time step: the convolution
     # multiplier cannot be sampled faithfully and the run must stop

@@ -1,14 +1,21 @@
 """Tests for the backward recursion on known solutions and edge cases."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from convbsde import (
+    EXPECTATION,
     EXPLICIT_I,
     EXPLICIT_II,
+    GRADIENT,
+    PsiKind,
     SolveAborted,
+    apply_transform,
     brownian_bsde,
     build_grid,
+    dft,
     fbsde,
     solve,
     value_at_start,
@@ -155,6 +162,111 @@ def test_non_finite_driver_aborts_with_step_index(small_grid):
     assert isinstance(err, RuntimeError)
     assert err.step_index == 9
     assert "non-finite" in err.reason
+
+
+def test_value_error_inside_a_step_aborts_with_step_index(small_grid):
+    # the drift turns NaN before t = 0.23, i.e. from step 4 down; the
+    # closed-form adjustment rejects it and the solve names that step
+    spec = fbsde(
+        horizon=0.5,
+        steps=10,
+        x_init=0.0,
+        drift=lambda t, x: np.nan if t < 0.23 else 0.0,
+        vol=lambda t, x: 1.0,
+        terminal=np.tanh,
+        driver=_zero_driver,
+        coefficients_constant=True,
+    )
+    with pytest.raises(SolveAborted) as exc_info:
+        solve(spec, small_grid)
+    assert exc_info.value.step_index == 4
+    assert "non-finite" in exc_info.value.reason
+
+
+def test_constant_path_runs_one_real_fft_pair_per_convolution(small_grid, monkeypatch):
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    steps = 10
+    for scheme in (EXPLICIT_I, EXPLICIT_II):
+        spec = brownian_bsde(
+            horizon=0.5, steps=steps, terminal=np.tanh, driver=_zero_driver, scheme=scheme
+        )
+        solve(spec, small_grid)
+    # both schemes convolve twice per step: expectation and gradient
+    convolutions = 2 * 2 * steps
+    assert calls == {"rfft": convolutions, "irfft": convolutions}
+
+
+def _full_complex_row_residual(eta, grid, psi_per_node):
+    """Measured imaginary residual of the state-dependent step.
+
+    Each row is summed over the full complex DFT on the frequency nodes
+    nu_0..nu_{N-1}; the grid starts at -L/2, which the alternating signs
+    account for.
+    """
+    N = grid.N
+    signs = 1.0 - 2.0 * (np.arange(N) % 2)
+    nu = grid.freq_nodes()
+    spectrum = dft(signs * eta)
+    j = np.arange(N)
+    theta = np.array(
+        [
+            signs[k] * np.dot(np.exp((2j * np.pi * k / N) * j), psi.values(nu) * spectrum)
+            for k, psi in enumerate(psi_per_node)
+        ]
+    )
+    return np.max(np.abs(theta.imag)) / np.max(np.abs(theta.real))
+
+
+def test_statedep_diagnostics_record_the_measured_residual():
+    # a coarse grid and a short step leave the Nyquist bin a residual
+    # well above roundoff and below the abort threshold
+    grid = build_grid(0.0, 3.0, 6)
+    drift = lambda t, x: 0.1 * np.sin(x)
+    vol = lambda t, x: 1.0 + 0.3 * np.tanh(x)
+    spec = fbsde(
+        horizon=0.04,
+        steps=1,
+        x_init=0.0,
+        drift=drift,
+        vol=vol,
+        terminal=lambda x: np.log1p(np.exp(x)),
+        driver=lambda t, x, y, z: -0.1 * y,
+    )
+    (diag,) = solve(spec, grid, collect_diagnostics=True).diagnostics
+    eta = apply_transform(spec.terminal(grid.space_nodes()), grid, diag.coeffs)
+    x = grid.space_nodes()
+    measured = max(
+        _full_complex_row_residual(
+            eta,
+            grid,
+            [
+                PsiKind(kind, diag.coeffs.alpha, spec.step_size, drift(0.0, xk), vol(0.0, xk))
+                for xk in x
+            ],
+        )
+        for kind in (EXPECTATION, GRADIENT)
+    )
+    assert 1e-13 < measured < 1e-8
+    assert diag.imag_residual == pytest.approx(measured, rel=1e-2)
+    # the same problem on a step too short for the grid aborts
+    short = fbsde(
+        horizon=0.01,
+        steps=1,
+        x_init=0.0,
+        drift=drift,
+        vol=vol,
+        terminal=spec.terminal,
+        driver=spec.driver,
+    )
+    with pytest.raises(SolveAborted, match="imaginary residual"):
+        solve(short, grid)
 
 
 def test_non_vectorized_terminal_is_rejected(small_grid):

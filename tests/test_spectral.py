@@ -18,7 +18,6 @@ from convbsde import (
     dft,
     idft,
     increment_cf,
-    quadrature_weights,
 )
 
 
@@ -77,13 +76,44 @@ def test_psi_values_compose_increment_cf():
     assert np.max(np.abs(psi_g.values(nu) - vol * (alpha + 1j * nu) * shifted)) <= 1e-12
 
 
-def test_quadrature_weights_are_unit():
-    w = quadrature_weights(16, "trapezoid")
-    assert np.array_equal(w, np.ones(16))
-    with pytest.raises(ValueError):
-        quadrature_weights(15, "trapezoid")
-    with pytest.raises(ValueError):
-        quadrature_weights(16, "simpson")
+def _full_complex_convolution(eta, grid, psi):
+    """Reference: complex DFT pair over the frequency nodes nu_0..nu_{N-1}.
+
+    The grid starts at -L/2, which the alternating signs account for.
+    Returns the real part and the measured relative imaginary residual.
+    """
+    signs = 1.0 - 2.0 * (np.arange(grid.N) % 2)
+    theta_c = signs * idft(psi.values(grid.freq_nodes()) * dft(signs * eta))
+    max_re = max(float(np.max(np.abs(theta_c.real))), 1e-300)
+    return theta_c.real, float(np.max(np.abs(theta_c.imag))) / max_re
+
+
+@given(
+    log2N=st.integers(2, 10),
+    alpha=st.floats(-1.0, 1.0),
+    drift=st.floats(-1.0, 1.0),
+    vol=st.floats(0.05, 2.0),
+    kind=st.sampled_from([EXPECTATION, GRADIENT]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_real_fft_step_matches_full_complex_formula(log2N, alpha, drift, vol, kind, seed):
+    # the rfft formula keeps the real part of the full complex one, and
+    # its closed-form Nyquist residual is the imaginary part it drops
+    g = build_grid(0.0, 2.0, log2N)
+    eta = np.random.default_rng(seed).standard_normal(g.N)
+    psi = PsiKind(kind, alpha, 0.01, drift, vol)
+    reference, measured = _full_complex_convolution(eta, g, psi)
+    try:
+        theta, residual = convolve_step(eta, g, psi, return_residual=True)
+    except ImaginaryResidualError as exc:
+        residual = exc.residual
+        assert measured > IMAG_RESIDUAL_TOLERANCE * (1 - 1e-2)
+    else:
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(theta - reference)) <= 1e-12 * scale
+    if measured > 1e-13:
+        assert residual == pytest.approx(measured, rel=1e-2)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -173,9 +203,19 @@ def test_convolve_step_validates_lengths():
     with pytest.raises(ValueError):
         convolve_step(np.zeros(g.N - 1), g, psi)
     with pytest.raises(ValueError):
-        convolve_step(np.zeros(g.N), g, psi, weights=np.ones(g.N + 2))
-    with pytest.raises(ValueError):
         convolve_step_statedep(np.zeros(g.N), g, [psi] * (g.N - 1))
+
+
+def test_statedep_rows_must_share_tag_alpha_and_step():
+    g = build_grid(0.0, 1.0, 4)
+    psi = PsiKind(EXPECTATION, 0.1, step=0.1, drift=0.0, vol=1.0)
+    for other in (
+        PsiKind(GRADIENT, 0.1, step=0.1, drift=0.0, vol=1.0),
+        PsiKind(EXPECTATION, 0.2, step=0.1, drift=0.0, vol=1.0),
+        PsiKind(EXPECTATION, 0.1, step=0.2, drift=0.0, vol=1.0),
+    ):
+        with pytest.raises(ValueError):
+            convolve_step_statedep(np.zeros(g.N), g, [psi] * (g.N - 1) + [other])
 
 
 def test_psi_rejects_unknown_tag():

@@ -156,13 +156,14 @@ def test_adjustment_closed_forms():
     # alpha = 0: expectation image is beta*(x + drift*step) + kappa
     h = adjustment_H(x, c, EXPECTATION, forward_drift=0.25)
     assert np.allclose(h, 2.0 * (x + 0.25) + 1.5, rtol=0.0, atol=1e-15)
-    # gradient image is exp(-alpha*x)*beta*vol, constant here
+    # gradient image is beta*vol
     h = adjustment_H(x, c, GRADIENT, forward_vol=0.4)
     assert np.allclose(h, 0.8, rtol=0.0, atol=1e-15)
+    # alpha does not enter: H is the image after regrowth
     c2 = TransformCoefficients(alpha=0.3, beta=2.0, kappa=1.5, epsilon=5.0)
     h = adjustment_H(1.0, c2, EXPECTATION, forward_drift=0.0)
     assert isinstance(h, float)
-    assert h == pytest.approx(np.exp(-0.3) * 3.5, rel=1e-14)
+    assert h == pytest.approx(3.5, rel=1e-14)
 
 
 def test_adjustment_rejects_unknown_kind():
