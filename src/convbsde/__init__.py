@@ -27,7 +27,9 @@ from .pricing import (
     STYLE_EUROPEAN,
     STYLES,
     MarketParams,
+    PriceBoundBreach,
     build_pricing_problem,
+    check_price_bounds,
     extract_delta,
 )
 from .solver import SolveAborted, StepDiagnostics, solve, value_at_start
@@ -74,7 +76,9 @@ __all__ = [
     "STYLE_EUROPEAN",
     "STYLE_AMERICAN",
     "STYLES",
+    "PriceBoundBreach",
     "build_pricing_problem",
+    "check_price_bounds",
     "extract_delta",
     "SolveAborted",
     "StepDiagnostics",

@@ -8,7 +8,9 @@ against the closed form, ``converge`` runs a mesh-refinement study and
 from an optional JSON config file plus flag overrides; every command is
 deterministic given (config, seed).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical abort.
+Exit codes: 0 success, 2 configuration error (including a request
+too large to store), 3 numerical abort (including a price outside the
+no-arbitrage bounds).
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .pricing import (
     STYLE_EUROPEAN,
     STYLES,
     MarketParams,
+    PriceBoundBreach,
     build_pricing_problem,
+    check_price_bounds,
     extract_delta,
 )
 from .solver import SolveAborted, solve, value_at_start
@@ -225,21 +229,32 @@ def _closed_form_available(market: MarketParams) -> bool:
     )
 
 
-def _solve_market(market: MarketParams, numerics: Numerics, n=None, scheme=None):
-    """Build and solve the pricing problem; return (problem, surface)."""
+def _solve_market(
+    market: MarketParams, numerics: Numerics, n=None, scheme=None, full_surface=False
+):
+    """Build and solve the pricing problem; return (problem, surface).
+
+    Only ``paths`` reads past row 0, so every other command keeps the
+    start row alone.  The price at the start node is checked against
+    the static no-arbitrage bounds (PriceBoundBreach, exit code 3).
+    """
     n = numerics.n if n is None else n
     scheme = numerics.scheme if scheme is None else scheme
     problem = build_pricing_problem(market, n, scheme)
     grid = build_grid(problem.x_init, numerics.half_width, numerics.log2N)
-    return problem, solve(problem, grid, epsilon=numerics.epsilon)
+    surface = solve(
+        problem, grid, epsilon=numerics.epsilon, full_surface=full_surface
+    )
+    check_price_bounds(value_at_start(surface)[0], market)
+    return problem, surface
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header and an iterable of rows, consuming it once."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def cmd_price(config: RunConfig) -> int:
@@ -290,7 +305,7 @@ def cmd_table(config: RunConfig) -> int:
                     delta = extract_delta(surface, market)
                     ref_price, _ = _reference(market, n)
                     rel_err = abs(y0 - ref_price) / abs(ref_price) * 100.0
-                except SolveAborted as exc:
+                except (SolveAborted, PriceBoundBreach) as exc:
                     print(
                         f"cell (scheme={label}, K={strike}, n={n}) failed: {exc}",
                         file=sys.stderr,
@@ -387,26 +402,27 @@ def cmd_converge(config: RunConfig) -> int:
     return 0
 
 
-def cmd_paths(config: RunConfig) -> int:
-    problem, surface = _solve_market(config.market, config.numerics)
-    bundles = simulate_paths(problem, surface, config.path_count, config.seed)
-    rows = []
+def _path_rows(bundles):
+    """Yield the long-format CSV rows of the bundles one at a time."""
     for bundle in bundles:
         for i in range(bundle.times.size):
             x = float(bundle.x_path[i])
-            rows.append(
-                [
-                    bundle.path_index,
-                    float(bundle.times[i]),
-                    x,
-                    float(np.exp(x)),
-                    float(bundle.y_path[i]),
-                    float(bundle.z_path[i]),
-                    float(bundle.a_path[i]),
-                ]
-            )
+            yield [
+                bundle.path_index,
+                float(bundle.times[i]),
+                x,
+                float(np.exp(x)),
+                float(bundle.y_path[i]),
+                float(bundle.z_path[i]),
+                float(bundle.a_path[i]),
+            ]
+
+
+def cmd_paths(config: RunConfig) -> int:
+    problem, surface = _solve_market(config.market, config.numerics, full_surface=True)
+    bundles = simulate_paths(problem, surface, config.path_count, config.seed)
     out = config.out or "paths.csv"
-    _write_csv(out, ["path_id", "t", "X", "S", "Y", "Z", "A"], rows)
+    _write_csv(out, ["path_id", "t", "X", "S", "Y", "Z", "A"], _path_rows(bundles))
     clamped = sum(1 for b in bundles if b.clamped)
     print(
         f"simulated {len(bundles)} paths with {bundles[0].generator} "
@@ -470,7 +486,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         return COMMANDS[args.command](config)
-    except SolveAborted as exc:
+    except (SolveAborted, PriceBoundBreach) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

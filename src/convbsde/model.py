@@ -22,10 +22,6 @@ EXPLICIT_I = "explicit_I"
 EXPLICIT_II = "explicit_II"
 SCHEMES = (EXPLICIT_I, EXPLICIT_II)
 
-# Time steps are bounded to keep the step size away from zero; the
-# gradient kernel amplifies by 1/step.
-MAX_STEPS = 10**7
-
 # Probe offsets (in units of x) at which constructor validation samples
 # the vol coefficient; matches the default grid half width.
 _VOL_PROBE_OFFSET = 5.0
@@ -66,11 +62,14 @@ class ProblemSpec:
 
 @dataclass
 class SolutionSurface:
-    """Node values of the backward pair over all time steps.
+    """Node values of the backward pair over the kept time steps.
 
     u[i, k] approximates Y at (t_i, x_k) and udot[i, k] approximates
     the diffusion-scaled gradient sigma * dY/dx there, which is the Z
-    component.  Row n is the terminal payoff and udot's row n is zero.
+    component; times[i] is t_i.  A full surface keeps rows 0..n: row n
+    is the terminal payoff and udot's row n is zero.  A start-row
+    surface (``solve(..., full_surface=False)``) keeps row 0 alone, so
+    u, udot and reflection have shape (1, N+1) and times is [t_0].
     Column N repeats column 0: the spectral step only produces nodes
     0..N-1 and assigns x_N its periodic-wrap value.  reflection, when
     present, holds the nonnegative increments that pushed u back above
@@ -90,8 +89,6 @@ def _validate_mesh(horizon: float, steps: int) -> None:
         raise ValueError("horizon must be positive and finite")
     if int(steps) != steps or steps < 1:
         raise ValueError("steps must be a positive integer")
-    if steps > MAX_STEPS:
-        raise ValueError(f"steps must not exceed {MAX_STEPS}")
 
 
 def _validate_scheme(scheme: str) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec, SolutionSurface
+from .solver import check_storage
 
 # Paths use numpy's PCG64 generator, seeded per path with the pair
 # (seed, path_index) so results do not depend on scheduling order.
@@ -46,15 +47,19 @@ def simulate_paths(
 ) -> list[PathBundle]:
     """Simulate ``count`` forward paths and read the surface along them.
 
-    The simulation mesh equals the solver mesh.  Interpolation uses the
-    honestly computed nodes x_0..x_{N-1}; positions beyond them are
-    clamped to the nearest of those nodes and the bundle flagged.
+    The simulation mesh equals the solver mesh, and the surface must
+    be a full one (a start-row surface is rejected).  Interpolation
+    uses the honestly computed nodes x_0..x_{N-1}; positions beyond
+    them are clamped to the nearest of those nodes and the bundle
+    flagged.  The five count x (n+1) path arrays (increments, X, Y, Z,
+    A) are sized against the solver's storage cap before allocating.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     n = spec.steps
     if surface.u.shape != (n + 1, surface.grid.N + 1):
         raise ValueError("surface does not match the problem's mesh")
+    check_storage(count * (n + 1) * 8 * 5, f"{count} paths at n={n}")
 
     grid = surface.grid
     nodes = grid.space_nodes()

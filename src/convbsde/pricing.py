@@ -21,6 +21,15 @@ STYLE_EUROPEAN = "european"
 STYLE_AMERICAN = "american"
 STYLES = (STYLE_EUROPEAN, STYLE_AMERICAN)
 
+# Slack on the static price bounds, as a share of S0.  It absorbs the
+# discretization error of prices close to a bound (about 1e-3 at
+# S0 = 100, n = 1000); a breach beyond it is a wrong answer.
+BOUND_SLACK = 1e-4
+
+
+class PriceBoundBreach(ArithmeticError):
+    """A solved price lies outside the static no-arbitrage bounds."""
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -103,3 +112,26 @@ def extract_delta(surface: SolutionSurface, params: MarketParams) -> float:
     """
     mid = surface.grid.N // 2
     return float(surface.udot[0, mid]) / (params.sigma * params.S0)
+
+
+def check_price_bounds(price: float, params: MarketParams) -> None:
+    """Raise PriceBoundBreach unless price is a possible call price.
+
+    A call is worth at least 0 and at most the stock it delivers:
+    S0 exp(-div T) for European style, S0 for American style, within
+    BOUND_SLACK * S0.  A price outside these bounds usually means the
+    log-price domain truncates the increment law (too small a
+    half-width for sigma * sqrt(T)).
+    """
+    slack = BOUND_SLACK * params.S0
+    if params.style == STYLE_EUROPEAN:
+        upper, name = params.S0 * np.exp(-params.div * params.T), "S0*exp(-div*T)"
+    else:
+        upper, name = params.S0, "S0"
+    if not -slack <= price <= upper + slack:
+        raise PriceBoundBreach(
+            f"price {price:.6g} is outside the no-arbitrage bounds "
+            f"0 <= C <= {name} = {upper:.6g} (slack {slack:.3g}); "
+            "the grid may truncate the increment law: widen --half-width "
+            "or check the market parameters"
+        )

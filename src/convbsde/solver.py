@@ -34,6 +34,26 @@ from .transform import (
 )
 
 
+# Largest array storage one solve or path simulation may hold, in
+# bytes (2 GiB).  A full American surface at N=4096 (98,328 bytes a
+# row) fits up to n=21,839; a start-row solve fits on every grid
+# build_grid allows.
+MAX_STORAGE_BYTES = 2**31
+
+
+def check_storage(nbytes: int, request: str) -> None:
+    """Raise ValueError if ``request`` would hold more than the cap.
+
+    Called with the byte count before anything is allocated, so an
+    oversized request fails at once instead of exhausting memory.
+    """
+    if nbytes > MAX_STORAGE_BYTES:
+        raise ValueError(
+            f"{request} needs {nbytes} bytes, above the "
+            f"{MAX_STORAGE_BYTES}-byte storage cap"
+        )
+
+
 class SolveAborted(RuntimeError):
     """The backward recursion failed at a specific step."""
 
@@ -125,8 +145,15 @@ def solve(
     grid: GridPair,
     epsilon: float = DEFAULT_EPSILON,
     collect_diagnostics: bool = False,
+    full_surface: bool = True,
 ) -> SolutionSurface:
-    """Run the backward recursion and return the full solution surface.
+    """Run the backward recursion and return the solution surface.
+
+    The recursion reads only the row computed one step earlier, so
+    ``full_surface=False`` keeps the start row alone: u, udot and the
+    reflection then have shape (1, N+1) and their row 0 (time t_0) is
+    bitwise equal to row 0 of the full surface.  Memory is O(N)
+    instead of O(n N).
 
     Parameters
     ----------
@@ -137,7 +164,10 @@ def solve(
     epsilon : float
         Slope margin for the periodization fit at every step.
     collect_diagnostics : bool
-        Record per-step fit coefficients and residuals on the surface.
+        Record per-step fit coefficients and residuals on the surface,
+        one entry per step in either storage form.
+    full_surface : bool
+        Keep every row t_0..t_n (the default) or only the start row.
 
     Raises
     ------
@@ -148,13 +178,20 @@ def solve(
         index.
     ValueError
         On inconsistent problem/grid data (center mismatch, terminal
-        payoff below the barrier).
+        payoff below the barrier), or when the kept rows would exceed
+        MAX_STORAGE_BYTES, checked before allocating.
     """
     if grid.center != spec.x_init:
         raise ValueError("grid.center must equal spec.x_init")
 
     n = spec.steps
     N = grid.N
+    reflected = spec.barrier is not None
+    rows = n + 1 if full_surface else 1
+    check_storage(
+        rows * (N + 1) * 8 * (3 if reflected else 2),
+        f"a {rows}-row surface at n={n}, log2N={N.bit_length() - 1}",
+    )
     dt = spec.step_size
     times = spec.times()
     x_full = grid.space_nodes(include_right=True)
@@ -166,18 +203,17 @@ def solve(
     if not np.all(np.isfinite(g_full)):
         raise ValueError("terminal values must be finite")
 
-    reflected = spec.barrier is not None
     if reflected:
         b_terminal = np.asarray(spec.barrier(spec.horizon, x_full), dtype=float)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(g_full))))
         if np.any(b_terminal > g_full + tol):
             raise ValueError("terminal payoff must dominate the barrier at maturity")
 
-    u = np.empty((n + 1, N + 1))
-    udot = np.zeros((n + 1, N + 1))
-    u[n, :N] = g_full[:N]
-    u[n, N] = u[n, 0]
-    reflection = np.zeros((n + 1, N + 1)) if reflected else None
+    u = np.empty((rows, N + 1))
+    udot = np.zeros((rows, N + 1))
+    u[-1, :N] = g_full[:N]
+    u[-1, N] = u[-1, 0]
+    reflection = np.zeros((rows, N + 1)) if reflected else None
     diagnostics = [] if collect_diagnostics else None
 
     stepper = _StepConvolver(spec, grid, epsilon)
@@ -189,6 +225,7 @@ def solve(
 
     for i in range(n - 1, -1, -1):
         t = times[i]
+        row = i if full_surface else 0
         try:
             if spec.scheme == EXPLICIT_II:
                 (util, udot_i), coeffs, residual = stepper.convolve(
@@ -212,8 +249,8 @@ def solve(
             b = np.asarray(spec.barrier(t, x), dtype=float)
             increments = np.maximum(b - raw, 0.0)
             active = int(np.count_nonzero(increments))
-            reflection[i, :N] = increments
-            reflection[i, N] = reflection[i, 0]
+            reflection[row, :N] = increments
+            reflection[row, N] = reflection[row, 0]
             u_i = np.maximum(raw, b)
         else:
             u_i = raw
@@ -221,10 +258,10 @@ def solve(
         if not (np.all(np.isfinite(u_i)) and np.all(np.isfinite(udot_i))):
             raise SolveAborted(i, "non-finite solution values")
 
-        u[i, :N] = u_i
-        u[i, N] = u_i[0]
-        udot[i, :N] = udot_i
-        udot[i, N] = udot_i[0]
+        u[row, :N] = u_i
+        u[row, N] = u_i[0]
+        udot[row, :N] = udot_i
+        udot[row, N] = udot_i[0]
         if collect_diagnostics:
             diagnostics.append(StepDiagnostics(i, coeffs, residual, active))
 
@@ -232,7 +269,7 @@ def solve(
 
     return SolutionSurface(
         grid=grid,
-        times=times,
+        times=times[:rows].copy(),
         u=u,
         udot=udot,
         reflection=reflection,

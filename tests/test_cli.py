@@ -8,6 +8,7 @@ spawning subprocesses.
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,49 @@ def test_unresolvable_kernel_exits_with_numerical_abort(capsys):
     assert "numerical abort" in captured.err
 
 
+def test_price_keeps_only_the_start_row():
+    # a full American surface at n=400, N=4096 would hold 39 MB
+    argv = ["price", "--n", "400", "--log2N", "12", "--style", "american", "--div", "0.035"]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flags, bound",
+    [
+        (["--n", "50", "--log2N", "8", "--div", "1e300"], "C <= S0*exp(-div*T) = 0 "),
+        (["--n", "200", "--sigma", "2.0"], "C <= S0*exp(-div*T) = 100 "),
+        (["--n", "200", "--sigma", "2.0", "--style", "american"], "C <= S0 = 100 "),
+    ],
+)
+def test_price_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, capsys):
+    # a drift that carries the kernel off the grid, or a vol too wide
+    # for half-width 5, used to print a price far above the spot
+    rc = main(["price", *flags])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert bound in captured.err
+    assert "--half-width" in captured.err
+
+
+def test_oversized_paths_request_is_a_config_error(capsys):
+    # the full American surface would need 0.98 TB; the check fires
+    # before anything is allocated
+    rc = main(["paths", "--n", "10000000", "--style", "american"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"needs {(10**7 + 1) * 4097 * 24} bytes" in captured.err
+    assert "n=10000000, log2N=12" in captured.err
+
+
 def test_table_sweeps_and_references(tmp_path, capsys):
     out = tmp_path / "table.csv"
     rc = main(
@@ -177,6 +221,18 @@ def test_table_uses_tree_reference_when_rates_differ(tmp_path):
     # is a few thousandths)
     assert float(rows[0]["ref_price"]) == pytest.approx(9.414, abs=2e-2)
     assert float(rows[0]["rel_err_pct"]) <= 0.1
+
+
+def test_table_marks_a_bound_breach_as_a_failed_cell(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    rc = main(
+        ["table", "--sigma", "2.0", "--strikes", "100", "--n-list", "200",
+         "--schemes", "explicit2", "--out", str(out)]
+    )
+    assert rc == 0
+    (row,) = _read_csv(out)
+    assert np.isnan(float(row["price"]))
+    assert "outside the no-arbitrage bounds" in capsys.readouterr().err
 
 
 def test_error_surface_writes_node_errors(tmp_path, capsys):

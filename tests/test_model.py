@@ -55,8 +55,6 @@ def test_mesh_validation():
         brownian_bsde(1.0, 0, _identity_terminal, _zero_driver)
     with pytest.raises(ValueError):
         brownian_bsde(1.0, -3, _identity_terminal, _zero_driver)
-    with pytest.raises(ValueError):
-        brownian_bsde(1.0, 10**7 + 1, _identity_terminal, _zero_driver)
 
 
 def test_scheme_validation():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import convbsde.solver as solver_module
 from convbsde import (
     EXPLICIT_II,
     MarketParams,
@@ -117,3 +118,21 @@ def test_surface_mismatch_is_rejected(european_setup):
     other = solve(build_pricing_problem(MarketParams(), 50, EXPLICIT_II), grid)
     with pytest.raises(ValueError):
         simulate_paths(spec, other, count=2, seed=1)
+
+
+def test_start_row_surface_is_rejected(european_setup):
+    _, spec, grid, _ = european_setup
+    start = solve(spec, grid, full_surface=False)
+    with pytest.raises(ValueError, match="does not match the problem's mesh"):
+        simulate_paths(spec, start, count=2, seed=1)
+
+
+def test_path_storage_is_checked_before_allocating(european_setup, monkeypatch):
+    _, spec, _, surface = european_setup
+    # five count x (n+1) float arrays: increments, X, Y, Z, A
+    needed = 3 * (spec.steps + 1) * 8 * 5
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", needed)
+    assert len(simulate_paths(spec, surface, count=3, seed=1)) == 3
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", needed - 1)
+    with pytest.raises(ValueError, match=f"3 paths at n=100 needs {needed} bytes"):
+        simulate_paths(spec, surface, count=3, seed=1)

@@ -1,6 +1,7 @@
 """Tests for the option-market layer on top of the generic solver."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from convbsde import (
     EXPLICIT_I,
     EXPLICIT_II,
     MarketParams,
+    PriceBoundBreach,
     STYLE_AMERICAN,
     STYLE_EUROPEAN,
     black_scholes_call,
     build_grid,
     build_pricing_problem,
+    check_price_bounds,
     extract_delta,
     solve,
     value_at_start,
@@ -131,3 +134,20 @@ def test_grid_must_be_centered_on_log_spot():
     wrong = build_grid(0.0, 5.0, 10)
     with pytest.raises(ValueError):
         solve(build_pricing_problem(m, 10, EXPLICIT_II), wrong)
+
+
+@pytest.mark.parametrize(
+    "market, upper, bound",
+    [
+        (MarketParams(div=0.5, T=2.0), 100.0 * np.exp(-1.0), "S0*exp(-div*T)"),
+        (MarketParams(div=0.5, T=2.0, style=STYLE_AMERICAN), 100.0, "S0"),
+    ],
+)
+def test_price_bounds_allow_the_static_range_plus_slack(market, upper, bound):
+    slack = 1e-4 * market.S0
+    for price in (-slack, 0.0, upper, upper + slack):
+        check_price_bounds(price, market)
+    for price in (-2 * slack, upper + 2 * slack, float("nan")):
+        with pytest.raises(PriceBoundBreach, match=rf"C <= {re.escape(bound)} ") as info:
+            check_price_bounds(price, market)
+        assert "--half-width" in str(info.value)

@@ -1,20 +1,26 @@
 """Tests for the backward recursion on known solutions and edge cases."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import convbsde.solver as solver_module
 from convbsde import (
     EXPECTATION,
     EXPLICIT_I,
     EXPLICIT_II,
     GRADIENT,
+    STYLE_AMERICAN,
+    STYLE_EUROPEAN,
+    MarketParams,
     PsiKind,
     SolveAborted,
     apply_transform,
     brownian_bsde,
     build_grid,
+    build_pricing_problem,
     dft,
     fbsde,
     solve,
@@ -316,3 +322,76 @@ def test_value_at_start_reads_center_node(small_grid):
     y0, z0 = value_at_start(surface)
     assert y0 == surface.u[0, mid]
     assert z0 == surface.udot[0, mid]
+
+
+def _localvol_spec(scheme):
+    return fbsde(
+        horizon=0.2,
+        steps=6,
+        x_init=0.0,
+        drift=lambda t, x: 0.1 * np.sin(x),
+        vol=lambda t, x: 1.0 + 0.3 * np.tanh(x),
+        terminal=lambda x: np.log1p(np.exp(x)),
+        driver=lambda t, x, y, z: -0.1 * y + 0.05 * np.maximum(z - y, 0.0),
+        scheme=scheme,
+    )
+
+
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
+def test_start_row_solve_is_row_zero_of_the_full_solve(scheme, style):
+    if style == "statedep":
+        spec = _localvol_spec(scheme)
+        grid = build_grid(0.0, 3.0, 6)
+    else:
+        market = MarketParams(K=95.0, R=0.03, div=0.035, style=style)
+        spec = build_pricing_problem(market, 40, scheme)
+        grid = build_grid(spec.x_init, 2.0, 8)
+    full = solve(spec, grid, collect_diagnostics=True)
+    start = solve(spec, grid, collect_diagnostics=True, full_surface=False)
+    shape = (1, grid.N + 1)
+    assert start.u.shape == start.udot.shape == shape
+    assert np.array_equal(start.times, [0.0])
+    assert np.array_equal(start.u[0], full.u[0])
+    assert np.array_equal(start.udot[0], full.udot[0])
+    if style == STYLE_AMERICAN:
+        assert start.reflection.shape == shape
+        assert np.count_nonzero(full.reflection[0]) > 0
+        assert np.array_equal(start.reflection[0], full.reflection[0])
+    else:
+        assert start.reflection is None and full.reflection is None
+    assert len(start.diagnostics) == spec.steps
+    assert start.diagnostics == full.diagnostics
+    assert value_at_start(start) == value_at_start(full)
+
+
+def test_storage_cap_is_checked_before_allocating(small_grid, monkeypatch):
+    reflected = _reflected_toy(lambda t, x: np.abs(x))  # 10 steps, 3 arrays
+    row_bytes = (small_grid.N + 1) * 8 * 3
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", 11 * row_bytes)
+    solve(reflected, small_grid)
+    solve(reflected, small_grid, full_surface=False)
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", 11 * row_bytes - 1)
+    with pytest.raises(ValueError, match=f"needs {11 * row_bytes} bytes"):
+        solve(reflected, small_grid)
+    solve(reflected, small_grid, full_surface=False)
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", row_bytes - 1)
+    with pytest.raises(ValueError, match="a 1-row surface at n=10, log2N=8"):
+        solve(reflected, small_grid, full_surface=False)
+
+
+def test_oversized_full_surface_fails_without_allocating():
+    # 10**7 + 1 rows of two 4097-node arrays would be 655 GB
+    grid = build_grid(0.0, 5.0, 12)
+    spec = brownian_bsde(1.0, 10**7, terminal=np.tanh, driver=_zero_driver)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc_info:
+            solve(spec, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    message = str(exc_info.value)
+    assert "n=10000000, log2N=12" in message
+    assert f"needs {(10**7 + 1) * 4097 * 16} bytes" in message
