@@ -83,6 +83,8 @@ _MARKET_KEYS = {
     "style": "style",
 }
 _NUMERICS_KEYS = ("log2N", "half_width", "epsilon", "n", "scheme")
+# Top-level config keys, named as their flags' destinations.
+_RUN_KEYS = ("seed", "paths", "out", "strikes", "n_list", "schemes")
 
 
 def _parse_scheme(name) -> str:
@@ -116,8 +118,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     if getattr(args, "config", None):
         data = _load_json(args.config)
-        unknown = set(data) - {"market", "numerics", "seed", "paths", "out",
-                               "strikes", "n_list", "schemes"}
+        unknown = set(data) - {"market", "numerics", *_RUN_KEYS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         market_section = data.get("market", {})
@@ -134,7 +135,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             if key not in _NUMERICS_KEYS:
                 raise ConfigError(f"unknown numerics field {key!r}")
             numerics_kwargs[key] = value
-        for key in ("seed", "paths", "out", "strikes", "n_list", "schemes"):
+        for key in _RUN_KEYS:
             if key in data:
                 extra[key] = data[key]
 
@@ -142,16 +143,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             market_kwargs[field] = value
-    for flag in ("log2N", "half_width", "epsilon", "n", "scheme"):
+    for flag in _NUMERICS_KEYS:
         value = getattr(args, flag, None)
         if value is not None:
             numerics_kwargs[flag] = value
-    for flag, key in (("seed", "seed"), ("paths", "paths"), ("out", "out"),
-                      ("strikes", "strikes"), ("n_list", "n_list"),
-                      ("schemes", "schemes")):
+    for flag in _RUN_KEYS:
         value = getattr(args, flag, None)
         if value is not None:
-            extra[key] = value
+            extra[flag] = value
 
     if "scheme" in numerics_kwargs:
         numerics_kwargs["scheme"] = _parse_scheme(numerics_kwargs["scheme"])
@@ -166,17 +165,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"invalid numerics: {exc}") from exc
     _validate_numerics(numerics)
 
-    strikes = tuple(float(k) for k in _as_list(extra.get("strikes"), (90.0, 100.0, 110.0), float))
-    n_list = tuple(int(v) for v in _as_list(extra.get("n_list"), (500, 1000, 2000, 5000), int))
+    strikes = tuple(float(k) for k in _as_list(extra.get("strikes"), RunConfig.strikes, float))
+    n_list = tuple(int(v) for v in _as_list(extra.get("n_list"), RunConfig.n_list, int))
     schemes = tuple(
-        _parse_scheme(s)
-        for s in _as_list(extra.get("schemes"), ("explicit1", "explicit2"), str)
+        _parse_scheme(s) for s in _as_list(extra.get("schemes"), RunConfig.schemes, str)
     )
 
-    seed = extra.get("seed", 0)
+    seed = extra.get("seed", RunConfig.seed)
     if int(seed) != seed or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    path_count = extra.get("paths", 50)
+    path_count = extra.get("paths", RunConfig.path_count)
     if int(path_count) != path_count or path_count < 1:
         raise ConfigError("paths must be a positive integer")
 
@@ -370,6 +368,10 @@ def cmd_error_surface(config: RunConfig) -> int:
 def cmd_converge(config: RunConfig) -> int:
     if len(config.n_list) < 3:
         raise ConfigError("convergence study needs at least 3 mesh sizes")
+    if len(set(config.n_list)) != len(config.n_list):
+        raise ConfigError(
+            f"convergence study needs distinct mesh sizes; got {list(config.n_list)}"
+        )
     if not _closed_form_available(config.market):
         raise ConfigError(
             "converge needs a closed-form reference: equal rates and "

@@ -33,10 +33,10 @@ class ProblemSpec:
 
     scheme selects where the driver enters the backward step:
     ``explicit_I`` evaluates it inside the conditional expectation,
-    ``explicit_II`` outside.  ``coefficients_constant`` declares drift
-    and vol spatially and temporally constant, unlocking the single-FFT
-    convolution path; the library trusts the declaration rather than
-    probing, since probing cannot prove constancy.
+    ``explicit_II`` outside.  The solver reads drift and vol only at the
+    space-grid nodes, once per time step; a step where both take one
+    value at every node runs a single FFT pair per convolution, any
+    other step the per-node convolution.
     """
 
     horizon: float
@@ -48,7 +48,6 @@ class ProblemSpec:
     terminal: Callable
     barrier: Optional[Callable]
     scheme: str
-    coefficients_constant: bool
 
     @property
     def step_size(self) -> float:
@@ -121,7 +120,6 @@ def brownian_bsde(
         terminal=terminal,
         barrier=None,
         scheme=scheme,
-        coefficients_constant=True,
     )
 
 
@@ -135,13 +133,16 @@ def fbsde(
     driver: Callable,
     barrier: Optional[Callable] = None,
     scheme: str = EXPLICIT_II,
-    coefficients_constant: bool = False,
 ) -> ProblemSpec:
     """Forward-backward problem, reflected if a barrier is given.
 
-    vol is sampled at t=0 at the initial state and one default half
-    width to either side; a non-positive value there rejects the spec
-    early (a degenerate diffusion has no density to convolve with).
+    drift and vol may depend on (t, x): each solver step samples them
+    on the space grid and takes the single-FFT convolution when both
+    are the same at every node, so constant coefficients need no
+    declaration.  vol is also sampled at t=0 at the initial state and
+    one default half width to either side; a non-positive value there
+    rejects the spec early (a degenerate diffusion has no density to
+    convolve with).
     """
     _validate_mesh(horizon, steps)
     _validate_scheme(scheme)
@@ -161,5 +162,4 @@ def fbsde(
         terminal=terminal,
         barrier=barrier,
         scheme=scheme,
-        coefficients_constant=coefficients_constant,
     )

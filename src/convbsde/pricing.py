@@ -100,7 +100,6 @@ def build_pricing_problem(
         driver=driver,
         barrier=barrier,
         scheme=scheme,
-        coefficients_constant=True,
     )
 
 

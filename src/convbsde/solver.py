@@ -88,56 +88,18 @@ def _extended_samples(values: np.ndarray) -> np.ndarray:
     return out
 
 
-class _StepConvolver:
-    """One time step's worth of fitting, convolving and recovering."""
+def _node_values(coefficient, t: float, x: np.ndarray):
+    """coefficient(t, x) on the space nodes.
 
-    def __init__(self, spec: ProblemSpec, grid: GridPair, epsilon: float):
-        self.spec = spec
-        self.grid = grid
-        self.epsilon = epsilon
-        self.x = grid.space_nodes()
-        self.dt = spec.step_size
-
-    def coefficients_at(self, t: float):
-        """Drift and vol arrays (or scalars on the constant path)."""
-        if self.spec.coefficients_constant:
-            a = float(np.asarray(self.spec.drift(t, self.spec.x_init)))
-            s = float(np.asarray(self.spec.vol(t, self.spec.x_init)))
-            return a, s
-        a = np.broadcast_to(np.asarray(self.spec.drift(t, self.x), float), self.x.shape)
-        s = np.broadcast_to(np.asarray(self.spec.vol(t, self.x), float), self.x.shape)
-        return a, s
-
-    def convolve(self, samples: np.ndarray, t: float, kinds: tuple[str, ...]):
-        """Fit, transform and convolve one sample vector.
-
-        Returns the recovered node values for each requested kind, the
-        fitted coefficients and the largest imaginary residual seen.
-        """
-        coeffs = fit_coefficients(samples, self.grid, self.epsilon)
-        eta = apply_transform(samples, self.grid, coeffs)
-        regrow = np.exp(coeffs.alpha * self.x)
-        a, s = self.coefficients_at(t)
-        outputs = []
-        residual = 0.0
-        for kind in kinds:
-            if self.spec.coefficients_constant:
-                psi = PsiKind(kind, coeffs.alpha, self.dt, a, s)
-                theta, res = convolve_step(eta, self.grid, psi, return_residual=True)
-            else:
-                nodes = [
-                    PsiKind(kind, coeffs.alpha, self.dt, float(a[k]), float(s[k]))
-                    for k in range(self.grid.N)
-                ]
-                theta, res = convolve_step_statedep(
-                    eta, self.grid, nodes, return_residual=True
-                )
-            image = adjustment_H(
-                self.x, coeffs, kind, forward_drift=a * self.dt, forward_vol=s
-            )
-            outputs.append(regrow * theta - image)
-            residual = max(residual, res)
-        return outputs, coeffs, residual
+    A float when it takes one value at every node (a scalar result
+    short-cuts the comparison), otherwise an array over the nodes.
+    """
+    raw = np.asarray(coefficient(t, x), dtype=float)
+    if raw.ndim == 0:
+        return float(raw)
+    raw = np.broadcast_to(raw, x.shape)
+    first = raw.flat[0]
+    return float(first) if (raw == first).all() else raw
 
 
 def solve(
@@ -216,7 +178,27 @@ def solve(
     reflection = np.zeros((rows, N + 1)) if reflected else None
     diagnostics = [] if collect_diagnostics else None
 
-    stepper = _StepConvolver(spec, grid, epsilon)
+    def convolve(values, a, s, kinds):
+        """Fit, transform and convolve one sample vector under drift a, vol s.
+
+        Scalar a and s take one real FFT pair per kind, per-node arrays
+        the row-wise step.  Returns the recovered node values for each
+        requested kind, the fitted coefficients and the largest
+        imaginary residual seen.
+        """
+        coeffs = fit_coefficients(values, grid, epsilon)
+        eta = apply_transform(values, grid, coeffs)
+        regrow = np.exp(coeffs.alpha * x)
+        step = convolve_step if np.ndim(a) == np.ndim(s) == 0 else convolve_step_statedep
+        outputs = []
+        residual = 0.0
+        for kind in kinds:
+            theta, res = step(eta, grid, PsiKind(kind, coeffs.alpha, dt, a, s))
+            image = adjustment_H(x, coeffs, kind, forward_drift=a * dt, forward_vol=s)
+            outputs.append(regrow * theta - image)
+            residual = max(residual, res)
+        return outputs, coeffs, residual
+
     # Right-edge sample for the fit: honest terminal value first, then
     # linear extension of the computed rows.
     samples = np.empty(N + 1)
@@ -227,17 +209,19 @@ def solve(
         t = times[i]
         row = i if full_surface else 0
         try:
+            a = _node_values(spec.drift, t, x)
+            s = _node_values(spec.vol, t, x)
             if spec.scheme == EXPLICIT_II:
-                (util, udot_i), coeffs, residual = stepper.convolve(
-                    samples, t, (EXPECTATION, GRADIENT)
+                (util, udot_i), coeffs, residual = convolve(
+                    samples, a, s, (EXPECTATION, GRADIENT)
                 )
                 raw = util + dt * spec.driver(t, x, util, udot_i)
             else:
                 v_next = samples[:N]
-                (vdot,), c1, res1 = stepper.convolve(samples, t, (GRADIENT,))
+                (vdot,), _, res1 = convolve(samples, a, s, (GRADIENT,))
                 vtilde = v_next + dt * spec.driver(t, x, v_next, vdot)
-                (raw,), coeffs, res2 = stepper.convolve(
-                    _extended_samples(vtilde), t, (EXPECTATION,)
+                (raw,), coeffs, res2 = convolve(
+                    _extended_samples(vtilde), a, s, (EXPECTATION,)
                 )
                 udot_i = vdot
                 residual = max(res1, res2)

@@ -19,7 +19,7 @@ carries the 1/N factor, the inverse none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,13 +86,17 @@ class PsiKind:
     vol * d/dx of that expectation: psi(nu) = vol*(alpha + i*nu) *
     phi(nu - i*alpha).  Here phi is ``increment_cf`` for the step and
     alpha the dampening exponent of the periodization transform.
+
+    drift and vol are scalars for ``convolve_step``.  For
+    ``convolve_step_statedep`` either may also be a length-N array
+    holding the coefficient frozen at each space node.
     """
 
     tag: str
     alpha: float
     step: float
-    drift: float = 0.0
-    vol: float = 1.0
+    drift: float | np.ndarray = 0.0
+    vol: float | np.ndarray = 1.0
 
     def values(self, nu: np.ndarray) -> np.ndarray:
         """Evaluate the multiplier on the frequency nodes."""
@@ -111,26 +115,31 @@ def _check_eta(eta, grid: GridPair) -> np.ndarray:
     return eta
 
 
-def _guard(theta: np.ndarray, nyquist_imag: float, N: int, return_residual: bool):
+def _per_row(value, N: int) -> np.ndarray:
+    """A scalar or length-N coefficient as an (N, 1) column of rows."""
+    value = np.asarray(value, dtype=float)
+    if value.shape not in ((), (N,)):
+        raise ValueError(f"drift and vol must be scalars or have length N = {N}")
+    return np.broadcast_to(value, (N,))[:, None]
+
+
+def _guard(theta: np.ndarray, nyquist_imag: float, N: int):
     """Relative imaginary residual from the Nyquist bin; raise above tolerance."""
     max_re = max(float(np.max(np.abs(theta))), 1e-300)
     residual = nyquist_imag / N / max_re
     if residual > IMAG_RESIDUAL_TOLERANCE:
         raise ImaginaryResidualError(residual, IMAG_RESIDUAL_TOLERANCE)
-    return (theta, residual) if return_residual else theta
+    return theta, residual
 
 
-def convolve_step(
-    eta: np.ndarray, grid: GridPair, psi: PsiKind, return_residual: bool = False
-):
+def convolve_step(eta: np.ndarray, grid: GridPair, psi: PsiKind):
     """Convolve transformed samples against the psi multiplier.
 
     ``eta`` must already be periodized and dampened (the output of
-    ``apply_transform``), length N.  Returns theta at the nodes
-    x_0..x_{N-1}; the value at x_N is theta(x_0) by periodicity.
-
-    With ``return_residual`` the relative imaginary residual that was
-    discarded is returned alongside theta.
+    ``apply_transform``), length N, and psi's drift and vol scalars.
+    Returns ``(theta, residual)``: theta at the nodes x_0..x_{N-1} (the
+    value at x_N is theta(x_0) by periodicity) and the relative
+    imaginary residual that was discarded.
 
     Raises
     ------
@@ -141,35 +150,26 @@ def convolve_step(
     nu = grid.dnu * np.arange(grid.N // 2 + 1)
     product = psi.values(nu) * np.fft.rfft(eta)
     theta = np.fft.irfft(product, grid.N)
-    return _guard(theta, abs(product[-1].imag), grid.N, return_residual)
+    return _guard(theta, abs(product[-1].imag), grid.N)
 
 
-def convolve_step_statedep(
-    eta: np.ndarray,
-    grid: GridPair,
-    psi_per_node: list[PsiKind],
-    return_residual: bool = False,
-):
-    """Convolution step with a separate psi multiplier per space node.
+def convolve_step_statedep(eta: np.ndarray, grid: GridPair, psi: PsiKind):
+    """Convolution step whose drift and vol may differ per space node.
 
     Needed when drift or vol depend on the state: node x_k then carries
     its own increment law, frozen at the conditioning point, and the
-    inverse FFT no longer applies.  Row k is the real-FFT formula
-    summed out, theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N) psi_k(nu_m)
-    F_m) with F = rfft(eta) and c = 1, 2, ..., 2, 1, in blocks of rows.
-    All nodes must share tag, alpha and step.  The residual guard takes
-    the largest per-row Nyquist term.
+    inverse FFT no longer applies.  psi's drift and vol are scalars or
+    length-N arrays (entry k belongs to node x_k); tag, alpha and step
+    are shared by every row.  Row k is the real-FFT formula summed out,
+    theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N) psi_k(nu_m) F_m) with
+    F = rfft(eta) and c = 1, 2, ..., 2, 1, in blocks of rows.  Returns
+    ``(theta, residual)`` like ``convolve_step``; the residual guard
+    takes the largest per-row Nyquist term.
     """
     eta = _check_eta(eta, grid)
     N = grid.N
-    if len(psi_per_node) != N:
-        raise ValueError("need one PsiKind per space node")
-    first = psi_per_node[0]
-    shared = (first.tag, first.alpha, first.step)
-    if any((p.tag, p.alpha, p.step) != shared for p in psi_per_node):
-        raise ValueError("state-dependent rows must share tag, alpha and step")
-    drift = np.array([p.drift for p in psi_per_node], dtype=float)[:, None]
-    vol = np.array([p.vol for p in psi_per_node], dtype=float)[:, None]
+    drift = _per_row(psi.drift, N)
+    vol = _per_row(psi.vol, N)
 
     nu = grid.dnu * np.arange(N // 2 + 1)
     spectrum = np.fft.rfft(eta)
@@ -182,7 +182,7 @@ def convolve_step_statedep(
     for start in range(0, N, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         k = np.arange(start, min(start + _ROW_BLOCK, N))[:, None]
-        block = PsiKind(*shared, drift[rows], vol[rows]).values(nu) * spectrum
+        block = replace(psi, drift=drift[rows], vol=vol[rows]).values(nu) * spectrum
         theta[rows] = (roots[(k * m) % N] * block).real @ pair_count / N
         nyquist_imag[rows] = np.abs(block[:, -1].imag)
-    return _guard(theta, float(np.max(nyquist_imag)), N, return_residual)
+    return _guard(theta, float(np.max(nyquist_imag)), N)

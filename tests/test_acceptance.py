@@ -213,7 +213,7 @@ def test_criterion_7_property_suite(tmp_path):
     for alpha in (0.0, 0.3):
         for kind in (EXPECTATION, GRADIENT):
             psi = PsiKind(kind, alpha, step=0.05, drift=0.1, vol=1.0)
-            theta = convolve_step(np.exp(-(xq**2)), gq, psi)
+            theta, _ = convolve_step(np.exp(-(xq**2)), gq, psi)
             dense = dense_quadrature_step(
                 lambda y: np.exp(-(y**2)), gq, psi, 10 * gq.N
             )
@@ -249,7 +249,6 @@ def test_criterion_7_property_suite(tmp_path):
         terminal=lambda x: np.abs(x),
         driver=lambda t, x, y, z: np.full_like(x, -1.0),
         barrier=lambda t, x: np.abs(x),
-        coefficients_constant=True,
     )
     refl = solve(reflected_spec, grid8)
     xs8 = grid8.space_nodes()
@@ -261,8 +260,8 @@ def test_criterion_7_property_suite(tmp_path):
     x7 = g7.space_nodes()
     eta7 = np.maximum(np.exp(x7) - 2.0, 0.0)
     psi7 = PsiKind(EXPECTATION, 0.15, step=0.02, drift=0.05, vol=0.8)
-    fast = convolve_step(eta7, g7, psi7)
-    slow = convolve_step_statedep(eta7, g7, [psi7] * g7.N)
+    fast, _ = convolve_step(eta7, g7, psi7)
+    slow, _ = convolve_step_statedep(eta7, g7, psi7)
     assert np.max(np.abs(fast - slow)) <= 1e-10
 
     # (g) seeded scenario CSVs are byte-identical

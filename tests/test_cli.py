@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convbsde import black_scholes_call
-from convbsde.cli import main
+from convbsde import EXPLICIT_I, black_scholes_call
+from convbsde.cli import RunConfig, build_parser, load_config, main
 
 
 def _read_csv(path):
@@ -64,6 +64,38 @@ def test_config_file_sets_market_and_flags_override(tmp_path, capsys):
     kv = _parse_kv(capsys.readouterr().out.splitlines()[0])
     ref90 = black_scholes_call(100.0, 90.0, 0.01, 0.0, 0.2, 1.0)
     assert float(kv["price"]) == pytest.approx(ref90.price, abs=5e-3)
+
+
+def test_config_file_run_keys_match_their_flags(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps(
+            {
+                "seed": 7,
+                "paths": 3,
+                "out": "sweep.csv",
+                "strikes": [95.0, 105.0],
+                "n_list": [50, 100, 200],
+                "schemes": ["explicit1"],
+            }
+        )
+    )
+    parser = build_parser()
+    from_file = load_config(parser.parse_args(["table", "--config", str(config)]))
+    from_flags = load_config(
+        parser.parse_args(
+            ["table", "--seed", "7", "--paths", "3", "--out", "sweep.csv",
+             "--strikes", "95,105", "--n-list", "50,100,200", "--schemes", "explicit1"]
+        )
+    )
+    assert from_file == from_flags
+    assert (from_file.seed, from_file.path_count, from_file.out) == (7, 3, "sweep.csv")
+    assert from_file.strikes == (95.0, 105.0)
+    assert from_file.n_list == (50, 100, 200)
+    assert from_file.schemes == (EXPLICIT_I,)
+    # without either form the defaults are RunConfig's
+    default = load_config(parser.parse_args(["table"]))
+    assert default == RunConfig(market=default.market, numerics=default.numerics)
 
 
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
@@ -280,6 +312,15 @@ def test_converge_needs_three_meshes(capsys):
     rc = main(["converge", "--n-list", "100,200"])
     assert rc == 2
     assert "at least 3" in capsys.readouterr().err
+
+
+def test_converge_rejects_repeated_mesh_sizes(capsys):
+    # a repeated n made the successive ratio 0/0 and printed nan
+    rc = main(["converge", "--n-list", "50,50,100", "--log2N", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "distinct mesh sizes; got [50, 50, 100]" in captured.err
+    assert captured.out == ""
 
 
 def test_paths_csv_is_deterministic_and_unreflected_for_default_market(

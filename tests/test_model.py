@@ -35,7 +35,6 @@ def test_brownian_problem_defaults():
     assert spec.x_init == 0.0
     assert spec.scheme == EXPLICIT_II
     assert spec.barrier is None
-    assert spec.coefficients_constant is True
     assert spec.step_size == pytest.approx(0.25, abs=0.0)
     times = spec.times()
     assert times.shape == (9,)
@@ -73,7 +72,6 @@ def test_fbsde_accepts_positive_vol():
         driver=_zero_driver,
     )
     assert spec.x_init == 0.5
-    assert spec.coefficients_constant is False
     assert spec.barrier is None
 
 

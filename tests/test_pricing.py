@@ -64,7 +64,6 @@ def test_problem_construction():
     spec = build_pricing_problem(m, 250, EXPLICIT_I)
     assert spec.steps == 250
     assert spec.scheme == EXPLICIT_I
-    assert spec.coefficients_constant is True
     assert spec.x_init == pytest.approx(np.log(100.0), abs=0.0)
     # log-price drift mu - div - sigma^2/2
     x = np.array([4.0, 4.6, 5.0])

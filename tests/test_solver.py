@@ -1,5 +1,6 @@
 """Tests for the backward recursion on known solutions and edge cases."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -113,7 +114,6 @@ def _reflected_toy(barrier, scheme=EXPLICIT_II):
         terminal=lambda x: np.abs(x),
         driver=lambda t, x, y, z: np.full_like(x, -1.0),
         barrier=barrier,
-        coefficients_constant=True,
         scheme=scheme,
     )
 
@@ -149,7 +149,6 @@ def test_grid_center_must_match_initial_state(small_grid):
         vol=lambda t, x: np.ones_like(x),
         terminal=np.tanh,
         driver=_zero_driver,
-        coefficients_constant=True,
     )
     with pytest.raises(ValueError):
         solve(spec, small_grid)
@@ -181,7 +180,6 @@ def test_value_error_inside_a_step_aborts_with_step_index(small_grid):
         vol=lambda t, x: 1.0,
         terminal=np.tanh,
         driver=_zero_driver,
-        coefficients_constant=True,
     )
     with pytest.raises(SolveAborted) as exc_info:
         solve(spec, small_grid)
@@ -207,6 +205,58 @@ def test_constant_path_runs_one_real_fft_pair_per_convolution(small_grid, monkey
     # both schemes convolve twice per step: expectation and gradient
     convolutions = 2 * 2 * steps
     assert calls == {"rfft": convolutions, "irfft": convolutions}
+
+
+def _selection_spec(case):
+    common = dict(
+        horizon=0.5, steps=6, x_init=0.0, terminal=np.tanh, driver=_zero_driver
+    )
+    if case == "brownian":
+        return brownian_bsde(0.5, 6, terminal=np.tanh, driver=_zero_driver)
+    if case == "pricing":
+        return build_pricing_problem(MarketParams(S0=1.0, K=1.0), 6)
+    if case == "constant":
+        return fbsde(drift=lambda t, x: 0.1, vol=lambda t, x: 0.8, **common)
+    if case == "time-varying":
+        return fbsde(
+            drift=lambda t, x: np.full_like(x, 0.1 + t), vol=lambda t, x: 0.8, **common
+        )
+    if case == "local-vol":
+        return fbsde(
+            drift=lambda t, x: 0.1, vol=lambda t, x: 0.8 + 0.1 * np.tanh(x), **common
+        )
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize(
+    "case, fast",
+    [
+        ("brownian", True),
+        ("pricing", True),
+        ("constant", True),
+        ("time-varying", True),
+        ("local-vol", False),
+    ],
+)
+def test_each_step_picks_its_convolution_from_the_node_coefficients(
+    case, fast, scheme, monkeypatch
+):
+    # drift and vol sampled on the nodes decide the step: one value at
+    # every node takes the single-FFT convolution, anything else the
+    # per-node one; nothing is declared on the spec
+    calls = Counter()
+    for name in ("convolve_step", "convolve_step_statedep"):
+
+        def counted(*args, _name=name, _fn=getattr(solver_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    spec = dataclasses.replace(_selection_spec(case), scheme=scheme)
+    solve(spec, build_grid(spec.x_init, 2.0, 7))
+    taken = "convolve_step" if fast else "convolve_step_statedep"
+    assert calls == {taken: 2 * spec.steps}
 
 
 def _full_complex_row_residual(eta, grid, psi_per_node):

@@ -105,7 +105,7 @@ def test_real_fft_step_matches_full_complex_formula(log2N, alpha, drift, vol, ki
     psi = PsiKind(kind, alpha, 0.01, drift, vol)
     reference, measured = _full_complex_convolution(eta, g, psi)
     try:
-        theta, residual = convolve_step(eta, g, psi, return_residual=True)
+        theta, residual = convolve_step(eta, g, psi)
     except ImaginaryResidualError as exc:
         residual = exc.residual
         assert measured > IMAG_RESIDUAL_TOLERANCE * (1 - 1e-2)
@@ -125,7 +125,7 @@ def test_convolution_matches_dense_quadrature(alpha, kind):
     x = g.space_nodes()
     eta = np.exp(-(x**2))
     psi = PsiKind(kind, alpha, step=0.05, drift=0.1, vol=1.0)
-    theta = convolve_step(eta, g, psi)
+    theta, _ = convolve_step(eta, g, psi)
     dense = dense_quadrature_step(lambda y: np.exp(-(y**2)), g, psi, 10 * g.N)
     n0 = g.N // 8
     assert np.max(np.abs(theta - dense)[n0:-n0]) <= 1e-10
@@ -137,22 +137,24 @@ def test_convolution_is_linear():
     psi = PsiKind(EXPECTATION, 0.2, step=0.1, drift=0.0, vol=1.0)
     w1 = np.exp(-(x**2))
     w2 = np.cos(x) * np.exp(-np.abs(x))
-    combined = convolve_step(1.7 * w1 - 0.4 * w2, g, psi)
-    parts = 1.7 * convolve_step(w1, g, psi) - 0.4 * convolve_step(w2, g, psi)
+    combined, _ = convolve_step(1.7 * w1 - 0.4 * w2, g, psi)
+    parts = 1.7 * convolve_step(w1, g, psi)[0] - 0.4 * convolve_step(w2, g, psi)[0]
     assert np.max(np.abs(combined - parts)) <= 1e-10
 
 
 def test_convolution_of_zero_is_zero():
     g = build_grid(0.0, 1.0, 5)
     psi = PsiKind(EXPECTATION, 0.1, step=0.1, drift=0.0, vol=1.0)
-    assert np.max(np.abs(convolve_step(np.zeros(g.N), g, psi))) == 0.0
+    theta, residual = convolve_step(np.zeros(g.N), g, psi)
+    assert np.max(np.abs(theta)) == 0.0
+    assert residual == 0.0
 
 
-def test_return_residual_reports_small_value_on_smooth_input():
+def test_convolve_step_reports_small_residual_on_smooth_input():
     g = build_grid(0.0, 4.0, 8)
     x = g.space_nodes()
     psi = PsiKind(EXPECTATION, 0.1, step=0.05, drift=0.0, vol=1.0)
-    theta, residual = convolve_step(np.exp(-(x**2)), g, psi, return_residual=True)
+    theta, residual = convolve_step(np.exp(-(x**2)), g, psi)
     assert theta.shape == (g.N,)
     assert 0.0 <= residual <= 1e-12
 
@@ -178,9 +180,13 @@ def test_statedep_matches_fast_path_for_constant_coefficients():
     x = g.space_nodes(include_right=True)
     eta = np.maximum(np.exp(x[:-1]) - 2.0, 0.0)
     psi = PsiKind(EXPECTATION, 0.15, step=0.02, drift=0.05, vol=0.8)
-    fast = convolve_step(eta, g, psi)
-    slow = convolve_step_statedep(eta, g, [psi] * g.N)
+    fast, _ = convolve_step(eta, g, psi)
+    slow, _ = convolve_step_statedep(eta, g, psi)
+    per_node, _ = convolve_step_statedep(
+        eta, g, PsiKind(EXPECTATION, 0.15, 0.02, np.full(g.N, 0.05), np.full(g.N, 0.8))
+    )
     assert np.max(np.abs(fast - slow)) <= 1e-10
+    assert np.array_equal(per_node, slow)
 
 
 def test_statedep_rows_follow_their_own_multiplier():
@@ -190,10 +196,9 @@ def test_statedep_rows_follow_their_own_multiplier():
     x = g.space_nodes()
     eta = np.exp(-(x**2)) + 0.3 * x
     drifts = 0.1 + 0.05 * np.tanh(x)
-    nodes = [PsiKind(EXPECTATION, 0.1, 0.05, float(a), 1.0) for a in drifts]
-    mixed = convolve_step_statedep(eta, g, nodes)
+    mixed, _ = convolve_step_statedep(eta, g, PsiKind(EXPECTATION, 0.1, 0.05, drifts, 1.0))
     for k in (0, 7, 16, 25, 31):
-        uniform = convolve_step(eta, g, nodes[k])
+        uniform, _ = convolve_step(eta, g, PsiKind(EXPECTATION, 0.1, 0.05, drifts[k], 1.0))
         assert mixed[k] == pytest.approx(uniform[k], abs=1e-11)
 
 
@@ -202,20 +207,9 @@ def test_convolve_step_validates_lengths():
     psi = PsiKind(EXPECTATION, 0.1, step=0.1, drift=0.0, vol=1.0)
     with pytest.raises(ValueError):
         convolve_step(np.zeros(g.N - 1), g, psi)
-    with pytest.raises(ValueError):
-        convolve_step_statedep(np.zeros(g.N), g, [psi] * (g.N - 1))
-
-
-def test_statedep_rows_must_share_tag_alpha_and_step():
-    g = build_grid(0.0, 1.0, 4)
-    psi = PsiKind(EXPECTATION, 0.1, step=0.1, drift=0.0, vol=1.0)
-    for other in (
-        PsiKind(GRADIENT, 0.1, step=0.1, drift=0.0, vol=1.0),
-        PsiKind(EXPECTATION, 0.2, step=0.1, drift=0.0, vol=1.0),
-        PsiKind(EXPECTATION, 0.1, step=0.2, drift=0.0, vol=1.0),
-    ):
-        with pytest.raises(ValueError):
-            convolve_step_statedep(np.zeros(g.N), g, [psi] * (g.N - 1) + [other])
+    short = PsiKind(EXPECTATION, 0.1, step=0.1, drift=np.zeros(g.N - 1), vol=1.0)
+    with pytest.raises(ValueError, match="length N"):
+        convolve_step_statedep(np.zeros(g.N), g, short)
 
 
 def test_psi_rejects_unknown_tag():
