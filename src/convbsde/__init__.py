@@ -26,9 +26,11 @@ from .pricing import (
     STYLE_AMERICAN,
     STYLE_EUROPEAN,
     STYLES,
+    DomainCoverageBreach,
     MarketParams,
     PriceBoundBreach,
     build_pricing_problem,
+    check_domain_coverage,
     check_price_bounds,
     extract_delta,
 )
@@ -76,8 +78,10 @@ __all__ = [
     "STYLE_EUROPEAN",
     "STYLE_AMERICAN",
     "STYLES",
+    "DomainCoverageBreach",
     "PriceBoundBreach",
     "build_pricing_problem",
+    "check_domain_coverage",
     "check_price_bounds",
     "extract_delta",
     "SolveAborted",

@@ -9,8 +9,9 @@ from an optional JSON config file plus flag overrides; every command is
 deterministic given (config, seed).
 
 Exit codes: 0 success, 2 configuration error (including a request
-too large to store), 3 numerical abort (including a price outside the
-no-arbitrage bounds).
+too large to store), 3 numerical abort (including a log-price domain
+too narrow for the volatility and a price outside the no-arbitrage
+bounds).
 """
 
 from __future__ import annotations
@@ -32,13 +33,18 @@ from .pricing import (
     STYLE_AMERICAN,
     STYLE_EUROPEAN,
     STYLES,
+    DomainCoverageBreach,
     MarketParams,
     PriceBoundBreach,
     build_pricing_problem,
+    check_domain_coverage,
     check_price_bounds,
     extract_delta,
 )
 from .solver import SolveAborted, solve, value_at_start
+
+# Failures of one solve; each maps to exit code 3.
+NUMERICAL_ABORTS = (DomainCoverageBreach, SolveAborted, PriceBoundBreach)
 
 SCHEME_BY_NAME = {"explicit1": EXPLICIT_I, "explicit2": EXPLICIT_II}
 NAME_BY_SCHEME = {v: k for k, v in SCHEME_BY_NAME.items()}
@@ -233,9 +239,12 @@ def _solve_market(
     """Build and solve the pricing problem; return (problem, surface).
 
     Only ``paths`` reads past row 0, so every other command keeps the
-    start row alone.  The price at the start node is checked against
-    the static no-arbitrage bounds (PriceBoundBreach, exit code 3).
+    start row alone.  Before the solve the half-width must cover the
+    volatility (DomainCoverageBreach); after it the price at the start
+    node is checked against the static no-arbitrage bounds
+    (PriceBoundBreach).  Both map to exit code 3.
     """
+    check_domain_coverage(market, numerics.half_width)
     n = numerics.n if n is None else n
     scheme = numerics.scheme if scheme is None else scheme
     problem = build_pricing_problem(market, n, scheme)
@@ -303,7 +312,7 @@ def cmd_table(config: RunConfig) -> int:
                     delta = extract_delta(surface, market)
                     ref_price, _ = _reference(market, n)
                     rel_err = abs(y0 - ref_price) / abs(ref_price) * 100.0
-                except (SolveAborted, PriceBoundBreach) as exc:
+                except NUMERICAL_ABORTS as exc:
                     print(
                         f"cell (scheme={label}, K={strike}, n={n}) failed: {exc}",
                         file=sys.stderr,
@@ -488,7 +497,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         return COMMANDS[args.command](config)
-    except (SolveAborted, PriceBoundBreach) as exc:
+    except NUMERICAL_ABORTS as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

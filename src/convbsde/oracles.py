@@ -8,14 +8,28 @@ evidential weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .grid import GridPair
 from .spectral import PsiKind
 from .transform import EXPECTATION, GRADIENT
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_cdf(d):
+    """Standard normal distribution function 0.5*erfc(-d/sqrt(2)),
+    elementwise: float64 of the input's shape, a float for a scalar.
+
+    math.erfc keeps full relative accuracy deep in the lower tail, where
+    1 - erf would cancel to zero.
+    """
+    z = -np.asarray(d, dtype=float) / math.sqrt(2.0)
+    return 0.5 * np.asarray(_erfc(z), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -50,8 +64,9 @@ def black_scholes_call_curve(
     d1 = (np.log(S_values / K) + (r - delta_div + 0.5 * sigma * sigma) * T) / sq
     d2 = d1 - sq
     disc_s = np.exp(-delta_div * T)
-    prices = S_values * disc_s * norm.cdf(d1) - K * np.exp(-r * T) * norm.cdf(d2)
-    return prices, disc_s * norm.cdf(d1)
+    cdf_d1 = normal_cdf(d1)
+    prices = S_values * disc_s * cdf_d1 - K * np.exp(-r * T) * normal_cdf(d2)
+    return prices, disc_s * cdf_d1
 
 
 def binomial_bsde(params, n: int, reflected: bool) -> tuple[float, float]:

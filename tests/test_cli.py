@@ -5,15 +5,21 @@ exit codes, stdout formatting and CSV artifacts are all checked without
 spawning subprocesses.
 """
 
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convbsde import EXPLICIT_I, black_scholes_call
+from convbsde import EXPLICIT_I, STYLE_EUROPEAN, STYLES, black_scholes_call
 from convbsde.cli import RunConfig, build_parser, load_config, main
 
 
@@ -135,10 +141,10 @@ def test_non_finite_market_value_is_a_config_error(flag, field, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_value_error_inside_solve_exits_with_numerical_abort(capsys):
-    # a finite but absurd vol overflows the closed-form adjustment in
+    # a finite but absurd drift overflows the closed-form adjustment in
     # the first backward step; that is a numerical abort, not a config
     # error, and the message names the step
-    rc = main(["price", "--n", "50", "--log2N", "8", "--sigma", "1e200"])
+    rc = main(["price", "--n", "50", "--log2N", "8", "--mu", "1e307"])
     captured = capsys.readouterr()
     assert rc == 3
     assert "solve aborted at step 49: non-finite adjustment value" in captured.err
@@ -172,19 +178,88 @@ def test_price_keeps_only_the_start_row():
     "flags, bound",
     [
         (["--n", "50", "--log2N", "8", "--div", "1e300"], "C <= S0*exp(-div*T) = 0 "),
-        (["--n", "200", "--sigma", "2.0"], "C <= S0*exp(-div*T) = 100 "),
-        (["--n", "200", "--sigma", "2.0", "--style", "american"], "C <= S0 = 100 "),
     ],
 )
 def test_price_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, capsys):
-    # a drift that carries the kernel off the grid, or a vol too wide
-    # for half-width 5, used to print a price far above the spot
+    # a drift that carries the kernel off the grid used to print a price
+    # far above the spot
     rc = main(["price", *flags])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
     assert bound in captured.err
     assert "--half-width" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, ratio",
+    [
+        (["--sigma", "1.5"], "3.33"),
+        (["--sigma", "2.0"], "2.5"),
+        (["--sigma", "2.0", "--style", "american"], "2.5"),
+        (["--sigma", "0.5", "--maturity", "16"], "2.5"),
+        (["--sigma", "1e200"], "5e-200"),
+    ],
+)
+def test_price_on_too_narrow_a_domain_is_a_numerical_abort(flags, ratio, capsys):
+    # half-width 5 truncates these increment laws; sigma = 1.5 used to
+    # print 57.53 against Black-Scholes 54.90 with exit 0, inside the
+    # no-arbitrage bounds.  The check runs before any solve.
+    rc = main(["price", "--n", "50", "--log2N", "8", *flags])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"--half-width 5 is {ratio} times sigma*sqrt(T)" in captured.err
+
+
+def test_widening_the_domain_passes_the_coverage_check(capsys):
+    rc = main(["price", "--n", "50", "--log2N", "8", "--sigma", "1.5", "--half-width", "7.5"])
+    assert rc == 0
+    price = float(_parse_kv(capsys.readouterr().out.splitlines()[0])["price"])
+    ref = black_scholes_call(100.0, 100.0, 0.01, 0.0, 1.5, 1.0).price
+    assert price == pytest.approx(ref, rel=2e-3)
+
+
+@given(
+    S0=st.floats(0.5, 2000.0),
+    K=st.floats(0.5, 2000.0),
+    r=st.floats(-0.05, 0.2),
+    spread=st.floats(0.0, 0.1),
+    mu=st.floats(-0.5, 0.5),
+    div=st.floats(0.0, 0.3),
+    sigma=st.floats(0.01, 3.0),
+    T=st.floats(0.01, 5.0),
+    style=st.sampled_from(STYLES),
+)
+@settings(max_examples=25, deadline=None)
+def test_every_market_prices_in_bounds_or_fails_with_a_message(
+    S0, K, r, spread, mu, div, sigma, T, style
+):
+    # ends with exit 0 and a price inside the static bounds, or exit 2
+    # or 3 and a message; an uncaught exception fails the test
+    argv = ["price", "--n", "50", "--log2N", "8", "--style", style]
+    for flag, value in (
+        ("--spot", S0), ("--strike", K), ("--rate", r), ("--borrow-rate", r + spread),
+        ("--mu", mu), ("--div", div), ("--sigma", sigma), ("--maturity", T),
+    ):
+        argv.append(f"{flag}={value!r}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "price.csv"
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([*argv, "--out", str(out)])
+        rows = _read_csv(out) if rc == 0 else None
+    if rc == 0:
+        price = float(rows[0]["price"])
+        upper = S0 * np.exp(-div * T) if style == STYLE_EUROPEAN else S0
+        slack = 1e-4 * S0
+        assert np.isfinite(price)
+        assert -slack <= price <= upper + slack
+    else:
+        assert rc in (2, 3)
+        prefix = "config error: " if rc == 2 else "numerical abort: "
+        assert stderr.getvalue().startswith(prefix)
+        assert len(stderr.getvalue()) > len(prefix) + 1
 
 
 def test_oversized_paths_request_is_a_config_error(capsys):
@@ -255,16 +330,24 @@ def test_table_uses_tree_reference_when_rates_differ(tmp_path):
     assert float(rows[0]["rel_err_pct"]) <= 0.1
 
 
-def test_table_marks_a_bound_breach_as_a_failed_cell(tmp_path, capsys):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--div", "1e300"], "outside the no-arbitrage bounds"),
+        (["--sigma", "2.0"], "--half-width 5 is 2.5 times sigma*sqrt(T)"),
+    ],
+)
+def test_table_marks_a_numerical_abort_as_a_failed_cell(flags, message, tmp_path, capsys):
     out = tmp_path / "table.csv"
     rc = main(
-        ["table", "--sigma", "2.0", "--strikes", "100", "--n-list", "200",
+        ["table", *flags, "--log2N", "8", "--strikes", "100", "--n-list", "50",
          "--schemes", "explicit2", "--out", str(out)]
     )
     assert rc == 0
     (row,) = _read_csv(out)
     assert np.isnan(float(row["price"]))
-    assert "outside the no-arbitrage bounds" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_error_surface_writes_node_errors(tmp_path, capsys):

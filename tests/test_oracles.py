@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from convbsde import (
@@ -15,9 +16,49 @@ from convbsde import (
     build_grid,
     dense_quadrature_step,
 )
+from convbsde.oracles import black_scholes_call_curve, normal_cdf
 
 # 95% Monte-Carlo band for the ATM unequal-rates market (R=0.03, r=0.01)
 MC_BAND_LOW, MC_BAND_HIGH = 9.3972, 9.4222
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    d = np.concatenate([np.linspace(-38.0, 38.0, 200_001), [0.0]])
+    ours, ref = normal_cdf(d), ndtr(d)
+    tail = ref > 1e-300
+    assert tail.sum() > 190_000
+    np.testing.assert_allclose(ours[tail], ref[tail], rtol=1e-12, atol=0.0)
+    # below 1e-300 both round to subnormals or zero
+    assert np.all(np.abs(ours[~tail]) <= 1e-300)
+    assert normal_cdf(0.0) == 0.5
+    special = normal_cdf(np.array([-np.inf, np.inf, np.nan]))
+    assert special[0] == 0.0 and special[1] == 1.0 and np.isnan(special[2])
+
+
+def test_normal_cdf_keeps_float_and_shape():
+    for scalar in (1.0, np.float64(1.0), np.array(1.0)):
+        value = normal_cdf(scalar)
+        assert isinstance(value, float)
+        assert value == pytest.approx(ndtr(1.0), rel=1e-15)
+    assert normal_cdf(np.zeros((2, 3))).dtype == np.float64
+    assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+    assert normal_cdf([-1.0, 1.0]).shape == (2,)
+
+
+def test_closed_form_curve_keeps_shape_and_put_call_parity():
+    K, r, q, sigma, T = 100.0, 0.02, 0.03, 0.3, 2.0
+    spots = np.geomspace(20.0, 500.0, 24).reshape(4, 6)
+    prices, deltas = black_scholes_call_curve(spots, K, r, q, sigma, T)
+    assert prices.shape == deltas.shape == (4, 6)
+    assert prices.dtype == deltas.dtype == np.float64
+    price, delta = black_scholes_call_curve(100.0, K, r, q, sigma, T)
+    assert isinstance(price, float) and isinstance(delta, float)
+    # the put written with scipy's distribution function
+    d1 = (np.log(spots / K) + (r - q + 0.5 * sigma**2) * T) / (sigma * np.sqrt(T))
+    d2 = d1 - sigma * np.sqrt(T)
+    puts = K * np.exp(-r * T) * ndtr(-d2) - spots * np.exp(-q * T) * ndtr(-d1)
+    forward_gap = spots * np.exp(-q * T) - K * np.exp(-r * T)
+    assert np.all(np.abs(prices - puts - forward_gap) <= 1e-12 * spots)
 
 
 def test_closed_form_reference_values():

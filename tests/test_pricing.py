@@ -9,6 +9,7 @@ import pytest
 from convbsde import (
     EXPLICIT_I,
     EXPLICIT_II,
+    DomainCoverageBreach,
     MarketParams,
     PriceBoundBreach,
     STYLE_AMERICAN,
@@ -16,11 +17,13 @@ from convbsde import (
     black_scholes_call,
     build_grid,
     build_pricing_problem,
+    check_domain_coverage,
     check_price_bounds,
     extract_delta,
     solve,
     value_at_start,
 )
+from convbsde.pricing import COVERAGE_STDEVS
 
 
 def test_market_defaults():
@@ -150,3 +153,15 @@ def test_price_bounds_allow_the_static_range_plus_slack(market, upper, bound):
         with pytest.raises(PriceBoundBreach, match=rf"C <= {re.escape(bound)} ") as info:
             check_price_bounds(price, market)
         assert "--half-width" in str(info.value)
+
+
+@pytest.mark.parametrize("sigma, T", [(1.0, 1.0), (0.5, 4.0), (2.0, 0.25)])
+def test_domain_coverage_needs_five_standard_deviations(sigma, T):
+    market = MarketParams(sigma=sigma, T=T)
+    spread = sigma * np.sqrt(T)
+    check_domain_coverage(market, COVERAGE_STDEVS * spread)
+    narrow = np.nextafter(COVERAGE_STDEVS * spread, 0.0)
+    with pytest.raises(DomainCoverageBreach, match="--half-width") as info:
+        check_domain_coverage(market, narrow)
+    assert f"sigma*sqrt(T) = {spread:g}" in str(info.value)
+    assert f"use --half-width {COVERAGE_STDEVS * spread:g} or more" in str(info.value)
