@@ -10,8 +10,8 @@ deterministic given (config, seed).
 
 Exit codes: 0 success, 2 configuration error (including a request
 too large to store), 3 numerical abort (including a log-price domain
-too narrow for the volatility and a price outside the no-arbitrage
-bounds).
+too narrow for the volatility or too wide for float64, a price outside
+the no-arbitrage bounds and a ``table`` with a failed cell).
 """
 
 from __future__ import annotations
@@ -94,11 +94,10 @@ _RUN_KEYS = ("seed", "paths", "out", "strikes", "n_list", "schemes")
 
 
 def _parse_scheme(name) -> str:
-    if name in SCHEME_BY_NAME:
-        return SCHEME_BY_NAME[name]
-    if name in NAME_BY_SCHEME:
-        return name
-    raise ConfigError(f"scheme must be one of {sorted(SCHEME_BY_NAME)}; got {name!r}")
+    scheme = SCHEME_BY_NAME.get(name, name) if isinstance(name, str) else None
+    if scheme not in NAME_BY_SCHEME:
+        raise ConfigError(f"scheme must be one of {sorted(SCHEME_BY_NAME)}; got {name!r}")
+    return scheme
 
 
 def _load_json(path: str) -> dict:
@@ -158,6 +157,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             extra[flag] = value
 
+    for key, value in numerics_kwargs.items():
+        if key != "scheme":
+            _number(key, value)
     if "scheme" in numerics_kwargs:
         numerics_kwargs["scheme"] = _parse_scheme(numerics_kwargs["scheme"])
 
@@ -171,43 +173,56 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"invalid numerics: {exc}") from exc
     _validate_numerics(numerics)
 
-    strikes = tuple(float(k) for k in _as_list(extra.get("strikes"), RunConfig.strikes, float))
-    n_list = tuple(int(v) for v in _as_list(extra.get("n_list"), RunConfig.n_list, int))
+    strikes = _as_list("strikes", extra.get("strikes"), RunConfig.strikes, float)
+    n_list = _as_list("n_list", extra.get("n_list"), RunConfig.n_list, int)
     schemes = tuple(
-        _parse_scheme(s) for s in _as_list(extra.get("schemes"), RunConfig.schemes, str)
+        _parse_scheme(s) for s in _as_list("schemes", extra.get("schemes"), RunConfig.schemes, str)
     )
 
-    seed = extra.get("seed", RunConfig.seed)
+    seed = _number("seed", extra.get("seed", RunConfig.seed))
     if int(seed) != seed or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    path_count = extra.get("paths", RunConfig.path_count)
+    path_count = _number("paths", extra.get("paths", RunConfig.path_count))
     if int(path_count) != path_count or path_count < 1:
         raise ConfigError("paths must be a positive integer")
+    out = extra.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string; got {out!r}")
 
     return RunConfig(
         market=market,
         numerics=numerics,
         seed=int(seed),
         path_count=int(path_count),
-        out=extra.get("out"),
+        out=out,
         strikes=strikes,
         n_list=n_list,
         schemes=schemes,
     )
 
 
-def _as_list(value, default, kind):
+def _number(key: str, value):
+    """value if it is a finite real number, else a ConfigError naming key:
+    a JSON null, string or infinity stops here, not inside a comparison."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not np.isfinite(value)
+    ):
+        raise ConfigError(f"{key} must be a finite number; got {value!r}")
+    return value
+
+
+def _as_list(key: str, value, default, kind) -> tuple:
+    """A comma separated string or a JSON list as a tuple of kind(entry)."""
     if value is None:
         return default
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        try:
-            return [kind(p.strip()) if kind is not str else p.strip() for p in parts]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse list value {value!r}: {exc}") from exc
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    raise ConfigError(f"expected a list, got {value!r}")
+        value = [p.strip() for p in value.split(",") if p.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list; got {value!r}")
+    try:
+        return tuple(kind(entry) for entry in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {key} entries {value!r}: {exc}") from exc
 
 
 def _validate_numerics(numerics: Numerics) -> None:
@@ -301,6 +316,7 @@ def cmd_table(config: RunConfig) -> int:
     if not config.schemes:
         raise ConfigError("scheme list must not be empty")
     rows = []
+    failed = 0
     for scheme in config.schemes:
         for strike in config.strikes:
             market = replace(config.market, K=strike)
@@ -318,6 +334,7 @@ def cmd_table(config: RunConfig) -> int:
                         file=sys.stderr,
                     )
                     y0 = delta = ref_price = rel_err = float("nan")
+                    failed += 1
                 rows.append([label, strike, n, y0, delta, ref_price, rel_err])
                 print(
                     f"scheme={label} K={strike:g} n={n} price={y0:.4f} "
@@ -330,6 +347,9 @@ def cmd_table(config: RunConfig) -> int:
         rows,
     )
     print(f"wrote {out}")
+    if failed:
+        print(f"numerical abort: {failed} of {len(rows)} table cells failed", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -3,9 +3,10 @@
 The solver evaluates conditional expectations by multiplying discrete
 Fourier transforms with sampled frequency multipliers.  For that product
 to represent a convolution on the space grid, the frequency grid must be
-matched to it: with N nodes, space width l and frequency width L, the
-two grids have to satisfy L*l = 2*pi*N.  Everything downstream assumes
-this coupling, so both grids are built together and never separately.
+matched to it: with N nodes and space width l the frequency step is
+dnu = 2*pi/l, so the frequency width L = N*dnu satisfies L*l = 2*pi*N.
+A grid is therefore fixed by three numbers, N, its center and its half
+width; every other quantity is derived from them.
 """
 
 from __future__ import annotations
@@ -22,40 +23,40 @@ MAX_LOG2N = 24
 class GridPair:
     """Uniform space grid with its matched frequency grid.
 
-    Space nodes are x_k = x0 + k*dx for k = 0..N and frequency nodes are
-    nu_j = nu0 + j*dnu for j = 0..N.  Only the first N nodes of either
-    axis enter a DFT; the value at x_N is recovered afterwards by the
+    Space nodes are x_k = x0 + k*dx for k = 0..N; only x_0..x_{N-1}
+    enter a DFT, and the value at x_N is recovered afterwards by the
     periodic wrap theta(x_N) = theta(x_0).  The middle node x_{N/2}
     equals ``center`` so the initial state needs no interpolation.
+    The real-FFT frequency nodes are nu_m = m*dnu for m = 0..N/2.
 
-    Attributes
-    ----------
-    N : int
-        Number of DFT nodes, a power of two.
-    x0 : float
-        Left space endpoint.
-    dx : float
-        Space step, l/N.
-    l : float
-        Space width.
-    nu0 : float
-        Left frequency endpoint, -L/2.
-    dnu : float
-        Frequency step, L/N.
-    L : float
-        Frequency width, 2*pi*N/l.
-    center : float
-        Grid midpoint x_{N/2}.
+    Only N, the number of DFT nodes (a power of two), the midpoint
+    ``center`` and ``half_width`` are stored; the properties below derive
+    every other grid value from them.
     """
 
     N: int
-    x0: float
-    dx: float
-    l: float
-    nu0: float
-    dnu: float
-    L: float
     center: float
+    half_width: float
+
+    @property
+    def x0(self) -> float:
+        """Left space endpoint."""
+        return self.center - self.half_width
+
+    @property
+    def l(self) -> float:
+        """Space width."""
+        return 2.0 * self.half_width
+
+    @property
+    def dx(self) -> float:
+        """Space step l/N, exact in binary since N is a power of two."""
+        return self.l / self.N
+
+    @property
+    def dnu(self) -> float:
+        """Frequency step 2*pi/l."""
+        return 2.0 * np.pi / self.l
 
     def space_nodes(self, include_right: bool = False) -> np.ndarray:
         """Space nodes x_0..x_{N-1}, or x_0..x_N if ``include_right``.
@@ -67,33 +68,17 @@ class GridPair:
         count = self.N + 1 if include_right else self.N
         return self.center + self.dx * (np.arange(count) - self.N // 2)
 
-    def freq_nodes(self) -> np.ndarray:
-        """Frequency nodes nu_0..nu_{N-1}."""
-        return self.nu0 + self.dnu * np.arange(self.N)
+    def frequencies(self) -> np.ndarray:
+        """Real-FFT frequency nodes nu_m = m*dnu for m = 0..N/2."""
+        return self.dnu * np.arange(self.N // 2 + 1)
 
 
 def build_grid(center: float, half_width: float, log2N: int) -> GridPair:
-    """Build the coupled space/frequency grid pair.
+    """Grid of 2**log2N nodes over [center - half_width, center + half_width].
 
-    Parameters
-    ----------
-    center : float
-        Midpoint of the space grid, typically the initial state of the
-        forward process.
-    half_width : float
-        Half of the space width; the grid covers [center - half_width,
-        center + half_width].
-    log2N : int
-        Base-2 logarithm of the node count N.
-
-    Returns
-    -------
-    GridPair
-
-    Raises
-    ------
-    ValueError
-        If half_width is not positive or log2N is outside [2, 24].
+    center is typically the initial state of the forward process.
+    Raises ValueError unless center is finite, half_width positive and
+    log2N an integer in [2, 24].
     """
     if not np.isfinite(center):
         raise ValueError("center must be finite")
@@ -101,19 +86,4 @@ def build_grid(center: float, half_width: float, log2N: int) -> GridPair:
         raise ValueError("half_width must be positive")
     if int(log2N) != log2N or not MIN_LOG2N <= log2N <= MAX_LOG2N:
         raise ValueError(f"log2N must be an integer in [{MIN_LOG2N}, {MAX_LOG2N}]")
-    N = 2 ** int(log2N)
-    l = 2.0 * half_width
-    # dx = l/N is exact in binary arithmetic since N is a power of two,
-    # which keeps x_{N/2} = (center - half_width) + half_width.
-    dx = l / N
-    L = 2.0 * np.pi * N / l
-    return GridPair(
-        N=N,
-        x0=center - half_width,
-        dx=dx,
-        l=l,
-        nu0=-L / 2.0,
-        dnu=L / N,
-        L=L,
-        center=center,
-    )
+    return GridPair(N=2 ** int(log2N), center=center, half_width=half_width)

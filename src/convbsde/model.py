@@ -83,18 +83,6 @@ class SolutionSurface:
     diagnostics: Optional[list] = field(default=None, repr=False)
 
 
-def _validate_mesh(horizon: float, steps: int) -> None:
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be positive and finite")
-    if int(steps) != steps or steps < 1:
-        raise ValueError("steps must be a positive integer")
-
-
-def _validate_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}")
-
-
 def brownian_bsde(
     horizon: float,
     steps: int,
@@ -108,17 +96,14 @@ def brownian_bsde(
     started at 0.  The driver keeps the unified (t, x, y, z) signature;
     x is simply the Brownian state.
     """
-    _validate_mesh(horizon, steps)
-    _validate_scheme(scheme)
-    return ProblemSpec(
-        horizon=float(horizon),
-        steps=int(steps),
+    return fbsde(
+        horizon=horizon,
+        steps=steps,
         x_init=0.0,
         drift=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         vol=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-        driver=driver,
         terminal=terminal,
-        barrier=None,
+        driver=driver,
         scheme=scheme,
     )
 
@@ -144,8 +129,12 @@ def fbsde(
     rejects the spec early (a degenerate diffusion has no density to
     convolve with).
     """
-    _validate_mesh(horizon, steps)
-    _validate_scheme(scheme)
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
+    if int(steps) != steps or steps < 1:
+        raise ValueError("steps must be a positive integer")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
     if not np.isfinite(x_init):
         raise ValueError("x_init must be finite")
     for probe in (x_init, x_init - _VOL_PROBE_OFFSET, x_init + _VOL_PROBE_OFFSET):

@@ -30,6 +30,12 @@ BOUND_SLACK = 1e-4
 # 7.8e-6 relative at sigma = 1.0 (ratio 5) and 1.3e-4 at sigma = 1.1,
 # but off by 2.1e-3 at sigma = 1.25 and 4.8% at sigma = 1.5.
 COVERAGE_STDEVS = 5.0
+# Largest log price ln(S0) + half_width the grid's top node may carry.
+# exp overflows float64 above 709.78, and a solve needs room beyond the
+# payoff itself: the FFT sums N samples and the periodization fit scales
+# them further.  The first overflow in a solve was measured at a top log
+# price of 699 for N = 2^8, 694 for 2^12, 692 for 2^16 and 689 for 2^20.
+MAX_LOG_PRICE = 680.0
 
 
 class PriceBoundBreach(ArithmeticError):
@@ -125,10 +131,12 @@ def extract_delta(surface: SolutionSurface, params: MarketParams) -> float:
 def check_domain_coverage(params: MarketParams, half_width: float) -> None:
     """Raise DomainCoverageBreach unless the grid's log-price half-width
     spans COVERAGE_STDEVS standard deviations sigma*sqrt(T) of the
-    terminal log price.
+    terminal log price and its top node ln(S0) + half_width stays at or
+    below MAX_LOG_PRICE.
 
     A narrower domain truncates the increment law and returns a wrong
-    price, often still inside the static no-arbitrage bounds.
+    price, often still inside the static no-arbitrage bounds; a wider
+    one overflows float64 inside the solve.
     """
     spread = params.sigma * np.sqrt(params.T)
     ratio = half_width / spread
@@ -138,6 +146,15 @@ def check_domain_coverage(params: MarketParams, half_width: float) -> None:
             f"{spread:.6g}; the log-price domain must span at least "
             f"{COVERAGE_STDEVS:g} of them: use --half-width "
             f"{COVERAGE_STDEVS * spread:.6g} or more"
+        )
+    top = np.log(params.S0) + half_width
+    if not top <= MAX_LOG_PRICE:
+        # rounded down so that the suggested value passes
+        widest = np.floor((MAX_LOG_PRICE - np.log(params.S0)) * 1e3) / 1e3
+        raise DomainCoverageBreach(
+            f"--half-width {half_width:g} puts the top grid node at log price "
+            f"{top:.8g}; float64 leaves room up to {MAX_LOG_PRICE:g}: use "
+            f"--half-width {widest:g} or less"
         )
 
 

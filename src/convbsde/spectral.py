@@ -147,8 +147,7 @@ def convolve_step(eta: np.ndarray, grid: GridPair, psi: PsiKind):
         If that residual exceeds ``IMAG_RESIDUAL_TOLERANCE``.
     """
     eta = _check_eta(eta, grid)
-    nu = grid.dnu * np.arange(grid.N // 2 + 1)
-    product = psi.values(nu) * np.fft.rfft(eta)
+    product = psi.values(grid.frequencies()) * np.fft.rfft(eta)
     theta = np.fft.irfft(product, grid.N)
     return _guard(theta, abs(product[-1].imag), grid.N)
 
@@ -171,7 +170,7 @@ def convolve_step_statedep(eta: np.ndarray, grid: GridPair, psi: PsiKind):
     drift = _per_row(psi.drift, N)
     vol = _per_row(psi.vol, N)
 
-    nu = grid.dnu * np.arange(N // 2 + 1)
+    nu = grid.frequencies()
     spectrum = np.fft.rfft(eta)
     pair_count = np.full(nu.size, 2.0)
     pair_count[[0, -1]] = 1.0

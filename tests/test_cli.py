@@ -19,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convbsde import EXPLICIT_I, STYLE_EUROPEAN, STYLES, black_scholes_call
+from convbsde import (
+    EXPLICIT_I,
+    STYLE_EUROPEAN,
+    STYLES,
+    DomainCoverageBreach,
+    MarketParams,
+    black_scholes_call,
+    check_domain_coverage,
+)
 from convbsde.cli import RunConfig, build_parser, load_config, main
 
 
@@ -122,6 +130,28 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line" in captured.err
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"numerics": {"log2N": None}}, "log2N"),
+        ({"numerics": {"half_width": "wide"}}, "half_width"),
+        ({"numerics": {"epsilon": None}}, "epsilon"),
+        ({"seed": None}, "seed"),
+        ({"strikes": [None]}, "strikes"),
+        ({"out": 5}, "out"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_config_error(config, key, tmp_path, capsys):
+    # each of these used to escape load_config as a TypeError (exit 1)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    rc = main(["table", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("config error: ")
+    assert key in captured.err
+
+
 def test_invalid_market_value_is_a_config_error(capsys):
     rc = main(["price", "--borrow-rate", "0.001"])  # below the lending rate
     captured = capsys.readouterr()
@@ -212,6 +242,32 @@ def test_price_on_too_narrow_a_domain_is_a_numerical_abort(flags, ratio, capsys)
     assert f"--half-width 5 is {ratio} times sigma*sqrt(T)" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, top",
+    [
+        (["--log2N", "8", "--sigma", "1e100", "--half-width", "1e101"], "1e+101"),
+        (["--log2N", "10", "--half-width", "700"], "704.60517"),
+    ],
+)
+def test_half_width_beyond_float64_room_is_a_numerical_abort(flags, top, capsys):
+    # these overflowed inside the solve and reported "terminal values
+    # must be finite" (exit 2) or "non-finite coefficient kappa" (exit 3)
+    rc = main(["price", "--n", "50", *flags])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"top grid node at log price {top}" in captured.err
+    assert "use --half-width 675.394 or less" in captured.err
+
+
+def test_widest_suggested_half_width_passes_the_domain_check():
+    # ln(100) + 675.394 is just below MAX_LOG_PRICE, 675.395 just above
+    market = MarketParams()
+    check_domain_coverage(market, 675.394)
+    with pytest.raises(DomainCoverageBreach, match="use --half-width 675.394 or less"):
+        check_domain_coverage(market, 675.395)
+
+
 def test_widening_the_domain_passes_the_coverage_check(capsys):
     rc = main(["price", "--n", "50", "--log2N", "8", "--sigma", "1.5", "--half-width", "7.5"])
     assert rc == 0
@@ -230,17 +286,22 @@ def test_widening_the_domain_passes_the_coverage_check(capsys):
     sigma=st.floats(0.01, 3.0),
     T=st.floats(0.01, 5.0),
     style=st.sampled_from(STYLES),
+    half_width=st.floats(0.5, 800.0),
+    log2N=st.integers(8, 10),
+    n=st.integers(10, 200),
 )
 @settings(max_examples=25, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_every_market_prices_in_bounds_or_fails_with_a_message(
-    S0, K, r, spread, mu, div, sigma, T, style
+    S0, K, r, spread, mu, div, sigma, T, style, half_width, log2N, n
 ):
     # ends with exit 0 and a price inside the static bounds, or exit 2
     # or 3 and a message; an uncaught exception fails the test
-    argv = ["price", "--n", "50", "--log2N", "8", "--style", style]
+    argv = ["price", "--n", str(n), "--log2N", str(log2N), "--style", style]
     for flag, value in (
         ("--spot", S0), ("--strike", K), ("--rate", r), ("--borrow-rate", r + spread),
         ("--mu", mu), ("--div", div), ("--sigma", sigma), ("--maturity", T),
+        ("--half-width", half_width),
     ):
         argv.append(f"{flag}={value!r}")
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -344,10 +405,13 @@ def test_table_marks_a_numerical_abort_as_a_failed_cell(flags, message, tmp_path
         ["table", *flags, "--log2N", "8", "--strikes", "100", "--n-list", "50",
          "--schemes", "explicit2", "--out", str(out)]
     )
-    assert rc == 0
+    # the CSV is still written, and the failed cell sets exit code 3
+    assert rc == 3
     (row,) = _read_csv(out)
     assert np.isnan(float(row["price"]))
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.endswith("numerical abort: 1 of 1 table cells failed\n")
 
 
 def test_error_surface_writes_node_errors(tmp_path, capsys):

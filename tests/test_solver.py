@@ -262,13 +262,13 @@ def test_each_step_picks_its_convolution_from_the_node_coefficients(
 def _full_complex_row_residual(eta, grid, psi_per_node):
     """Measured imaginary residual of the state-dependent step.
 
-    Each row is summed over the full complex DFT on the frequency nodes
-    nu_0..nu_{N-1}; the grid starts at -L/2, which the alternating signs
-    account for.
+    Each row is summed over the full complex DFT on the centered
+    frequency nodes nu_j = (j - N/2)*dnu, j = 0..N-1; the axis starts at
+    -N*dnu/2, which the alternating signs account for.
     """
     N = grid.N
     signs = 1.0 - 2.0 * (np.arange(N) % 2)
-    nu = grid.freq_nodes()
+    nu = grid.dnu * (np.arange(N) - N // 2)
     spectrum = dft(signs * eta)
     j = np.arange(N)
     theta = np.array(

@@ -67,7 +67,7 @@ def test_increment_cf_rejects_bad_parameters():
 
 def test_psi_values_compose_increment_cf():
     g = build_grid(0.0, 2.0, 6)
-    nu = g.freq_nodes()
+    nu = g.dnu * (np.arange(g.N) - g.N // 2)
     alpha, step, drift, vol = 0.3, 0.05, 0.1, 0.8
     shifted = increment_cf(nu - 1j * alpha, step, drift, vol)
     psi_e = PsiKind(EXPECTATION, alpha, step, drift, vol)
@@ -77,13 +77,15 @@ def test_psi_values_compose_increment_cf():
 
 
 def _full_complex_convolution(eta, grid, psi):
-    """Reference: complex DFT pair over the frequency nodes nu_0..nu_{N-1}.
+    """Reference: complex DFT pair over the centered frequency nodes
+    nu_j = (j - N/2)*dnu, j = 0..N-1.
 
-    The grid starts at -L/2, which the alternating signs account for.
+    The axis starts at -N*dnu/2, which the alternating signs account for.
     Returns the real part and the measured relative imaginary residual.
     """
     signs = 1.0 - 2.0 * (np.arange(grid.N) % 2)
-    theta_c = signs * idft(psi.values(grid.freq_nodes()) * dft(signs * eta))
+    nu = grid.dnu * (np.arange(grid.N) - grid.N // 2)
+    theta_c = signs * idft(psi.values(nu) * dft(signs * eta))
     max_re = max(float(np.max(np.abs(theta_c.real))), 1e-300)
     return theta_c.real, float(np.max(np.abs(theta_c.imag))) / max_re
 
