@@ -48,7 +48,7 @@ from .spectral import (
     increment_cf,
 )
 from .transform import (
-    DEFAULT_EPSILON,
+    SLOPE_MARGIN,
     SLOPE_TIE_TOLERANCE,
     TransformCoefficients,
     adjustment_H,
@@ -99,7 +99,7 @@ __all__ = [
     "idft",
     "increment_cf",
     "TransformCoefficients",
-    "DEFAULT_EPSILON",
+    "SLOPE_MARGIN",
     "SLOPE_TIE_TOLERANCE",
     "adjustment_H",
     "apply_transform",

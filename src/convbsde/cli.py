@@ -5,13 +5,15 @@ problem and reports price/delta, ``table`` sweeps schemes x strikes x
 mesh sizes against a reference, ``error-surface`` dumps per-node errors
 against the closed form, ``converge`` runs a mesh-refinement study and
 ``paths`` simulates scenarios over a solved surface.  Parameters come
-from an optional JSON config file plus flag overrides; every command is
-deterministic given (config, seed).
+from an optional JSON config file, which may carry any known key, plus
+flag overrides; each command takes only the flags of the settings it
+reads (``COMMANDS``).  Every command is deterministic given (config, seed).
 
-Exit codes: 0 success, 2 configuration error (including a request
-too large to store), 3 numerical abort (including a log-price domain
-too narrow for the volatility or too wide for float64, a price outside
-the no-arbitrage bounds and a ``table`` with a failed cell).
+Exit codes: 0 success, 2 configuration error (including an unread flag
+and a request too large to store), 3 numerical abort (including a
+log-price domain too narrow for the volatility or too wide for float64
+accuracy, a price outside the no-arbitrage bounds and a ``table`` with
+a failed cell).
 """
 
 from __future__ import annotations
@@ -56,11 +58,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Numerics:
-    """Discretization settings shared by all commands."""
+    """Discretization settings of one solve."""
 
     log2N: int = 12
     half_width: float = 5.0
-    epsilon: float = 5.0
     n: int = 1000
     scheme: str = EXPLICIT_II
 
@@ -77,20 +78,32 @@ class RunConfig:
     schemes: tuple = (EXPLICIT_I, EXPLICIT_II)
 
 
-_MARKET_KEYS = {
-    "spot": "S0",
-    "strike": "K",
-    "rate": "r",
-    "borrow_rate": "R",
-    "mu": "mu",
-    "div": "div",
-    "sigma": "sigma",
-    "maturity": "T",
-    "style": "style",
+# Every setting as flag -> (config section, field, argparse options).
+# Its config key is the flag's argparse destination, the flag name with
+# "_" for "-"; the section None is the top level of a config file, whose
+# fields are RunConfig's.
+FLAGS = {
+    "--spot": ("market", "S0", {"type": float}),
+    "--strike": ("market", "K", {"type": float}),
+    "--rate": ("market", "r", {"type": float}),
+    "--borrow-rate": ("market", "R", {"type": float}),
+    "--mu": ("market", "mu", {"type": float}),
+    "--div": ("market", "div", {"type": float}),
+    "--sigma": ("market", "sigma", {"type": float}),
+    "--maturity": ("market", "T", {"type": float}),
+    "--style": ("market", "style", {"choices": list(STYLES)}),
+    "--log2N": ("numerics", "log2N", {"type": int, "help": "log2 of grid size"}),
+    "--half-width": ("numerics", "half_width", {"type": float}),
+    "--n": ("numerics", "n", {"type": int, "help": "number of time steps"}),
+    "--scheme": ("numerics", "scheme", {"choices": sorted(SCHEME_BY_NAME)}),
+    "--seed": (None, "seed", {"type": int}),
+    "--paths": (None, "path_count", {"type": int, "help": "number of simulated paths"}),
+    "--out": (None, "out", {"help": "output CSV path"}),
+    "--strikes": (None, "strikes", {"help": "comma separated strike list"}),
+    "--n-list": (None, "n_list", {"help": "comma separated mesh sizes"}),
+    "--schemes": (None, "schemes", {"help": "comma separated scheme list"}),
 }
-_NUMERICS_KEYS = ("log2N", "half_width", "epsilon", "n", "scheme")
-# Top-level config keys, named as their flags' destinations.
-_RUN_KEYS = ("seed", "paths", "out", "strikes", "n_list", "schemes")
+SETTINGS = {flag[2:].replace("-", "_"): entry[:2] for flag, entry in FLAGS.items()}
 
 
 def _parse_scheme(name) -> str:
@@ -115,64 +128,41 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _file_settings(data: dict):
+    """Yield (key, value) for every setting in a config file.
+
+    A file may carry any known key, whichever command reads it.
+    """
+    for key, value in data.items():
+        if key in ("market", "numerics"):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config field {key!r} must be an object")
+            for inner, inner_value in value.items():
+                if SETTINGS.get(inner, (None,))[0] != key:
+                    raise ConfigError(f"unknown {key} field {inner!r}")
+                yield inner, inner_value
+        elif key in SETTINGS and SETTINGS[key][0] is None:
+            yield key, value
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, JSON config file and flag overrides."""
-    market_kwargs: dict = {}
-    numerics_kwargs: dict = {}
-    extra: dict = {}
-
-    if getattr(args, "config", None):
-        data = _load_json(args.config)
-        unknown = set(data) - {"market", "numerics", *_RUN_KEYS}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        market_section = data.get("market", {})
-        if not isinstance(market_section, dict):
-            raise ConfigError("config field 'market' must be an object")
-        for key, value in market_section.items():
-            if key not in _MARKET_KEYS:
-                raise ConfigError(f"unknown market field {key!r}")
-            market_kwargs[_MARKET_KEYS[key]] = value
-        numerics_section = data.get("numerics", {})
-        if not isinstance(numerics_section, dict):
-            raise ConfigError("config field 'numerics' must be an object")
-        for key, value in numerics_section.items():
-            if key not in _NUMERICS_KEYS:
-                raise ConfigError(f"unknown numerics field {key!r}")
-            numerics_kwargs[key] = value
-        for key in _RUN_KEYS:
-            if key in data:
-                extra[key] = data[key]
-
-    for flag, field in _MARKET_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            market_kwargs[field] = value
-    for flag in _NUMERICS_KEYS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            numerics_kwargs[flag] = value
-    for flag in _RUN_KEYS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            extra[flag] = value
-
-    for key, value in numerics_kwargs.items():
-        if key != "scheme":
-            _number(key, value)
-    if "scheme" in numerics_kwargs:
-        numerics_kwargs["scheme"] = _parse_scheme(numerics_kwargs["scheme"])
+    given = dict(_file_settings(_load_json(args.config))) if args.config else {}
+    given.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+    sections: dict = {"market": {}, "numerics": {}, None: {}}
+    for key, value in given.items():
+        section, field = SETTINGS[key]
+        sections[section][field] = value
 
     try:
-        market = MarketParams(**market_kwargs)
+        market = MarketParams(**sections["market"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid market parameters: {exc}") from exc
-    try:
-        numerics = Numerics(**numerics_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid numerics: {exc}") from exc
-    _validate_numerics(numerics)
+    numerics = _numerics(sections["numerics"])
 
+    extra = sections[None]
     strikes = _as_list("strikes", extra.get("strikes"), RunConfig.strikes, float)
     n_list = _as_list("n_list", extra.get("n_list"), RunConfig.n_list, int)
     schemes = tuple(
@@ -182,23 +172,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     seed = _number("seed", extra.get("seed", RunConfig.seed))
     if int(seed) != seed or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    path_count = _number("paths", extra.get("paths", RunConfig.path_count))
+    path_count = _number("paths", extra.get("path_count", RunConfig.path_count))
     if int(path_count) != path_count or path_count < 1:
         raise ConfigError("paths must be a positive integer")
     out = extra.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path string; got {out!r}")
 
-    return RunConfig(
-        market=market,
-        numerics=numerics,
-        seed=int(seed),
-        path_count=int(path_count),
-        out=out,
-        strikes=strikes,
-        n_list=n_list,
-        schemes=schemes,
-    )
+    return RunConfig(market, numerics, int(seed), int(path_count), out, strikes, n_list, schemes)
 
 
 def _number(key: str, value):
@@ -225,19 +206,19 @@ def _as_list(key: str, value, default, kind) -> tuple:
         raise ConfigError(f"cannot parse {key} entries {value!r}: {exc}") from exc
 
 
-def _validate_numerics(numerics: Numerics) -> None:
+def _numerics(fields: dict) -> Numerics:
+    numerics = Numerics(
+        **{k: _parse_scheme(v) if k == "scheme" else _number(k, v) for k, v in fields.items()}
+    )
     if int(numerics.log2N) != numerics.log2N or not (
         MIN_LOG2N <= numerics.log2N <= MAX_LOG2N
     ):
         raise ConfigError(f"log2N must be an integer in [{MIN_LOG2N}, {MAX_LOG2N}]")
     if not numerics.half_width > 0:
         raise ConfigError("half_width must be positive")
-    if not numerics.epsilon > 0:
-        raise ConfigError("epsilon must be positive")
     if int(numerics.n) != numerics.n or numerics.n < 1:
         raise ConfigError("n must be a positive integer")
-    if numerics.scheme not in NAME_BY_SCHEME:
-        raise ConfigError(f"scheme must be one of {sorted(SCHEME_BY_NAME)}")
+    return numerics
 
 
 def _closed_form_available(market: MarketParams) -> bool:
@@ -264,9 +245,7 @@ def _solve_market(
     scheme = numerics.scheme if scheme is None else scheme
     problem = build_pricing_problem(market, n, scheme)
     grid = build_grid(problem.x_init, numerics.half_width, numerics.log2N)
-    surface = solve(
-        problem, grid, epsilon=numerics.epsilon, full_surface=full_surface
-    )
+    surface = solve(problem, grid, full_surface=full_surface)
     check_price_bounds(value_at_start(surface)[0], market)
     return problem, surface
 
@@ -361,25 +340,19 @@ def cmd_error_surface(config: RunConfig) -> int:
         )
     market = config.market
     _, surface = _solve_market(market, config.numerics)
-    x = surface.grid.space_nodes(include_right=True)
+    # x_0..x_{N-1}: node x_N holds the periodic wrap of x_0, not a
+    # value the solver computed there
+    x = surface.grid.space_nodes()
     spots = np.exp(x)
     ref_price, ref_delta = black_scholes_call_curve(
         spots, market.K, market.r, market.div, market.sigma, market.T
     )
-    node_delta = surface.udot[0] / (market.sigma * spots)
-    err_price = np.abs(surface.u[0] - ref_price)
+    node_delta = surface.udot[0, : x.size] / (market.sigma * spots)
+    err_price = np.abs(surface.u[0, : x.size] - ref_price)
     err_delta = np.abs(node_delta - ref_delta)
     floor = 1e-300  # keeps log10 finite at exact zeros
-    rows = [
-        [
-            float(x[k]),
-            float(err_price[k]),
-            float(err_delta[k]),
-            float(np.log10(max(err_price[k], floor))),
-            float(np.log10(max(err_delta[k], floor))),
-        ]
-        for k in range(x.size)
-    ]
+    log_errs = np.log10(np.maximum((err_price, err_delta), floor))
+    rows = np.column_stack((x, err_price, err_delta, *log_errs)).tolist()
     out = config.out or "error_surface.csv"
     _write_csv(
         out,
@@ -463,12 +436,35 @@ def cmd_paths(config: RunConfig) -> int:
     return 0
 
 
+_MARKET_FLAGS = (
+    "--spot", "--strike", "--rate", "--borrow-rate", "--mu", "--div", "--sigma",
+    "--maturity", "--style",
+)
+_SOLVE_FLAGS = (*_MARKET_FLAGS, "--log2N", "--half-width", "--n", "--scheme")
+
+# Each command with its help and the flags of the settings it reads;
+# every command also takes --config and --out.
 COMMANDS = {
-    "price": cmd_price,
-    "table": cmd_table,
-    "error-surface": cmd_error_surface,
-    "converge": cmd_converge,
-    "paths": cmd_paths,
+    "price": (cmd_price, "solve one pricing problem and print price/delta", _SOLVE_FLAGS),
+    "table": (
+        cmd_table,
+        "sweep schemes x strikes x mesh sizes into a CSV",
+        (*(f for f in _MARKET_FLAGS if f != "--strike"), "--log2N", "--half-width",
+         "--strikes", "--n-list", "--schemes"),
+    ),
+    "error-surface": (
+        cmd_error_surface, "per-node absolute errors against the closed form", _SOLVE_FLAGS
+    ),
+    "converge": (
+        cmd_converge,
+        "mesh refinement study with empirical order",
+        (*_MARKET_FLAGS, "--log2N", "--half-width", "--scheme", "--n-list"),
+    ),
+    "paths": (
+        cmd_paths,
+        "simulate scenarios over the solved surface",
+        (*_SOLVE_FLAGS, "--seed", "--paths"),
+    ),
 }
 
 
@@ -478,36 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral convolution pricer for (reflected) backward SDEs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("price", "solve one pricing problem and print price/delta"),
-        ("table", "sweep schemes x strikes x mesh sizes into a CSV"),
-        ("error-surface", "per-node absolute errors against the closed form"),
-        ("converge", "mesh refinement study with empirical order"),
-        ("paths", "simulate scenarios over the solved surface"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, (_, help_text, flags) in COMMANDS.items():
+        # no abbreviations: table --strike must not mean --strikes
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--scheme", choices=sorted(SCHEME_BY_NAME))
-        cmd.add_argument("--n", type=int, help="number of time steps")
-        cmd.add_argument("--log2N", type=int, dest="log2N", help="log2 of grid size")
-        cmd.add_argument("--half-width", type=float, dest="half_width")
-        cmd.add_argument("--epsilon", type=float)
-        cmd.add_argument("--strike", type=float)
-        cmd.add_argument("--spot", type=float)
-        cmd.add_argument("--rate", type=float, dest="rate")
-        cmd.add_argument("--borrow-rate", type=float, dest="borrow_rate")
-        cmd.add_argument("--mu", type=float)
-        cmd.add_argument("--div", type=float)
-        cmd.add_argument("--sigma", type=float)
-        cmd.add_argument("--maturity", type=float)
-        cmd.add_argument("--style", choices=list(STYLES))
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--paths", type=int, help="number of simulated paths")
-        cmd.add_argument("--out", help="output CSV path")
-        if name in ("table", "converge"):
-            cmd.add_argument("--strikes", help="comma separated strike list")
-            cmd.add_argument("--n-list", dest="n_list", help="comma separated mesh sizes")
-            cmd.add_argument("--schemes", help="comma separated scheme list")
+        for flag in ("--out", *flags):
+            cmd.add_argument(flag, **FLAGS[flag][2])
     return parser
 
 
@@ -516,7 +488,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args)
-        return COMMANDS[args.command](config)
+        return COMMANDS[args.command][0](config)
     except NUMERICAL_ABORTS as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
@@ -527,3 +499,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -30,6 +30,20 @@ BOUND_SLACK = 1e-4
 # 7.8e-6 relative at sigma = 1.0 (ratio 5) and 1.3e-4 at sigma = 1.1,
 # but off by 2.1e-3 at sigma = 1.25 and 4.8% at sigma = 1.5.
 COVERAGE_STDEVS = 5.0
+# Widest half-width a solve keeps accurate.  The periodization's linear
+# term beta*x + kappa grows like S0*exp(half_width), and float64 cancels
+# the interior against it.  Absolute error against Black-Scholes
+# (38.6012) at sigma = 1, S0 = K = 100, by half-width:
+#
+#   nodes, n        10      14    14.5      15      20
+#   2^12, 200   6.4e-4  7.1e-4  7.2e-4  7.5e-4  1.6e-3
+#   2^12, 1000  1.8e-4  3.0e-4  3.4e-4  4.2e-4  3.4e-2
+#   2^14, 200   5.7e-4  5.8e-4  5.9e-4  6.0e-4  2.1e-3
+#   2^14, 1000  1.2e-4  1.6e-4  1.9e-4  2.2e-4  3.0e-2
+#
+# 14.5 is the widest measured half-width whose error stays within 2x of
+# the half-width-10 error on every row; 15 breaks it at 2^12, n = 1000.
+MAX_HALF_WIDTH = 14.5
 # Largest log price ln(S0) + half_width the grid's top node may carry.
 # exp overflows float64 above 709.78, and a solve needs room beyond the
 # payoff itself: the FFT sums N samples and the periodization fit scales
@@ -131,12 +145,13 @@ def extract_delta(surface: SolutionSurface, params: MarketParams) -> float:
 def check_domain_coverage(params: MarketParams, half_width: float) -> None:
     """Raise DomainCoverageBreach unless the grid's log-price half-width
     spans COVERAGE_STDEVS standard deviations sigma*sqrt(T) of the
-    terminal log price and its top node ln(S0) + half_width stays at or
-    below MAX_LOG_PRICE.
+    terminal log price, is at most MAX_HALF_WIDTH, and its top node
+    ln(S0) + half_width stays at or below MAX_LOG_PRICE.
 
     A narrower domain truncates the increment law and returns a wrong
     price, often still inside the static no-arbitrage bounds; a wider
-    one overflows float64 inside the solve.
+    one loses the price to float64 cancellation, and at a huge S0
+    overflows float64 inside the solve.
     """
     spread = params.sigma * np.sqrt(params.T)
     ratio = half_width / spread
@@ -146,6 +161,12 @@ def check_domain_coverage(params: MarketParams, half_width: float) -> None:
             f"{spread:.6g}; the log-price domain must span at least "
             f"{COVERAGE_STDEVS:g} of them: use --half-width "
             f"{COVERAGE_STDEVS * spread:.6g} or more"
+        )
+    if not half_width <= MAX_HALF_WIDTH:
+        raise DomainCoverageBreach(
+            f"--half-width {half_width:g} is above {MAX_HALF_WIDTH:g}, the widest "
+            "log-price half-width float64 keeps accurate: use --half-width "
+            f"{MAX_HALF_WIDTH:g} or less"
         )
     top = np.log(params.S0) + half_width
     if not top <= MAX_LOG_PRICE:

@@ -24,7 +24,6 @@ from .spectral import (
     convolve_step_statedep,
 )
 from .transform import (
-    DEFAULT_EPSILON,
     EXPECTATION,
     GRADIENT,
     TransformCoefficients,
@@ -105,7 +104,6 @@ def _node_values(coefficient, t: float, x: np.ndarray):
 def solve(
     spec: ProblemSpec,
     grid: GridPair,
-    epsilon: float = DEFAULT_EPSILON,
     collect_diagnostics: bool = False,
     full_surface: bool = True,
 ) -> SolutionSurface:
@@ -123,8 +121,6 @@ def solve(
         Problem data; its x_init must equal the grid center so the
         initial state sits exactly on the middle node.
     grid : GridPair
-    epsilon : float
-        Slope margin for the periodization fit at every step.
     collect_diagnostics : bool
         Record per-step fit coefficients and residuals on the surface,
         one entry per step in either storage form.
@@ -186,7 +182,7 @@ def solve(
         requested kind, the fitted coefficients and the largest
         imaginary residual seen.
         """
-        coeffs = fit_coefficients(values, grid, epsilon)
+        coeffs = fit_coefficients(values, grid)
         eta = apply_transform(values, grid, coeffs)
         regrow = np.exp(coeffs.alpha * x)
         step = convolve_step if np.ndim(a) == np.ndim(s) == 0 else convolve_step_statedep

@@ -29,46 +29,42 @@ GRADIENT = "gradient"
 # equal and the degenerate (alpha = kappa = 0) branch is used.
 SLOPE_TIE_TOLERANCE = 1e-12
 
-DEFAULT_EPSILON = 5.0
+# The slope margin epsilon by which beta exceeds both boundary slope
+# magnitudes in the non-degenerate branch.
+SLOPE_MARGIN = 5.0
 
 
 @dataclass(frozen=True)
 class TransformCoefficients:
-    """Periodization parameters (alpha, beta, kappa) and the slope
-    margin epsilon they were fitted with.
+    """Periodization parameters (alpha, beta, kappa).
 
     alpha dampens exponentially, beta/kappa inject a linear term.  In
     the non-degenerate branch beta exceeds both boundary slope
-    magnitudes by at least epsilon, which keeps the defining equations
+    magnitudes by SLOPE_MARGIN, which keeps the defining equations
     solvable with real alpha.
     """
 
     alpha: float
     beta: float
     kappa: float
-    epsilon: float
 
 
-def fit_coefficients(
-    samples: np.ndarray, grid: GridPair, epsilon: float = DEFAULT_EPSILON
-) -> TransformCoefficients:
+def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficients:
     """Fit periodization coefficients to samples on all grid nodes.
 
     Boundary slopes are estimated by first-order one-sided differences:
     forward at x_0, backward at x_N.  If the two estimates agree to
     within 1e-12 the linear trend alone periodizes the samples and
     alpha = kappa = 0 with beta = -(eta(b) - eta(a))/(b - a).  Otherwise
-    beta = epsilon + max(|slope_a|, |slope_b|) and alpha, kappa follow
-    from matching values and slopes at the endpoints.
+    beta = SLOPE_MARGIN + max(|slope_a|, |slope_b|) and alpha, kappa
+    follow from matching values and slopes at the endpoints; a slope so
+    steep that float64 rounds most of the margin away is a ValueError.
 
     Parameters
     ----------
     samples : ndarray, shape (N+1,)
         Function values at x_0..x_N.
     grid : GridPair
-    epsilon : float
-        Margin by which beta exceeds the boundary slopes; must be
-        positive.
 
     Returns
     -------
@@ -79,8 +75,6 @@ def fit_coefficients(
         raise ValueError(f"samples must have length N+1 = {grid.N + 1}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
 
     a = grid.x0
     b = grid.x0 + grid.l
@@ -89,16 +83,22 @@ def fit_coefficients(
 
     if abs(slope_a - slope_b) <= SLOPE_TIE_TOLERANCE:
         beta = -(samples[-1] - samples[0]) / (b - a)
-        return TransformCoefficients(alpha=0.0, beta=beta, kappa=0.0, epsilon=epsilon)
+        return TransformCoefficients(alpha=0.0, beta=beta, kappa=0.0)
 
-    beta = epsilon + max(abs(slope_a), abs(slope_b))
-    # Both log arguments are >= epsilon > 0 because beta dominates the
-    # slope magnitudes.
+    steepest = max(abs(slope_a), abs(slope_b))
+    beta = SLOPE_MARGIN + steepest
+    if not beta - steepest > 0.5 * SLOPE_MARGIN:
+        raise ValueError(
+            f"boundary slope {steepest:.3g} rounds the slope margin "
+            f"{SLOPE_MARGIN:g} away in float64"
+        )
+    # Both log arguments are above SLOPE_MARGIN / 2 because beta
+    # dominates the slope magnitudes by more than that.
     alpha = np.log((slope_b + beta) / (slope_a + beta)) / (b - a)
     ea = np.exp(-alpha * a)
     eb = np.exp(-alpha * b)
     kappa = (eb * (samples[-1] + beta * b) - ea * (samples[0] + beta * a)) / (ea - eb)
-    return TransformCoefficients(alpha=alpha, beta=beta, kappa=kappa, epsilon=epsilon)
+    return TransformCoefficients(alpha=alpha, beta=beta, kappa=kappa)
 
 
 def apply_transform(

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import re
+import shlex
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,6 +29,7 @@ from convbsde import (
     black_scholes_call,
     check_domain_coverage,
 )
+from convbsde.pricing import MAX_HALF_WIDTH
 from convbsde.cli import RunConfig, build_parser, load_config, main
 
 
@@ -95,21 +97,87 @@ def test_config_file_run_keys_match_their_flags(tmp_path):
         )
     )
     parser = build_parser()
-    from_file = load_config(parser.parse_args(["table", "--config", str(config)]))
-    from_flags = load_config(
+    # one file serves every command; each command's flags set its own keys
+    table_file = load_config(parser.parse_args(["table", "--config", str(config)]))
+    table_flags = load_config(
         parser.parse_args(
-            ["table", "--seed", "7", "--paths", "3", "--out", "sweep.csv",
-             "--strikes", "95,105", "--n-list", "50,100,200", "--schemes", "explicit1"]
+            ["table", "--out", "sweep.csv", "--strikes", "95,105", "--n-list", "50,100,200",
+             "--schemes", "explicit1"]
         )
     )
-    assert from_file == from_flags
-    assert (from_file.seed, from_file.path_count, from_file.out) == (7, 3, "sweep.csv")
-    assert from_file.strikes == (95.0, 105.0)
-    assert from_file.n_list == (50, 100, 200)
-    assert from_file.schemes == (EXPLICIT_I,)
+    fields = ("out", "strikes", "n_list", "schemes")
+    assert [getattr(table_file, f) for f in fields] == [getattr(table_flags, f) for f in fields]
+    assert table_file.out == "sweep.csv"
+    assert table_file.strikes == (95.0, 105.0)
+    assert table_file.n_list == (50, 100, 200)
+    assert table_file.schemes == (EXPLICIT_I,)
+    paths_file = load_config(parser.parse_args(["paths", "--config", str(config)]))
+    paths_flags = load_config(parser.parse_args(["paths", "--seed", "7", "--paths", "3"]))
+    assert (paths_file.seed, paths_file.path_count) == (paths_flags.seed, paths_flags.path_count)
+    assert (paths_file.seed, paths_file.path_count) == (7, 3)
     # without either form the defaults are RunConfig's
     default = load_config(parser.parse_args(["table"]))
     assert default == RunConfig(market=default.market, numerics=default.numerics)
+
+
+# The settings each command reads, and with them the flags it accepts
+# besides --config and --out.
+MARKET_FLAGS = {
+    "--spot", "--strike", "--rate", "--borrow-rate", "--mu", "--div", "--sigma",
+    "--maturity", "--style",
+}
+READS = {
+    "price": MARKET_FLAGS | {"--log2N", "--half-width", "--n", "--scheme"},
+    "error-surface": MARKET_FLAGS | {"--log2N", "--half-width", "--n", "--scheme"},
+    "paths": MARKET_FLAGS | {"--log2N", "--half-width", "--n", "--scheme", "--seed", "--paths"},
+    "table": MARKET_FLAGS - {"--strike"}
+    | {"--log2N", "--half-width", "--strikes", "--n-list", "--schemes"},
+    "converge": MARKET_FLAGS | {"--log2N", "--half-width", "--scheme", "--n-list"},
+}
+FLAG_VALUES = {
+    "--style": "american", "--scheme": "explicit1", "--schemes": "explicit1",
+    "--strikes": "95,105", "--n-list": "50,100,200", "--log2N": "10", "--n": "50",
+    "--seed": "3", "--paths": "4", "--epsilon": "5",
+}
+ALL_FLAGS = set().union(*READS.values()) | {"--epsilon"}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_command_accepts_the_flags_it_reads(command):
+    argv = [command, "--config", "run.json", "--out", "out.csv"]
+    for flag in sorted(READS[command]):
+        argv += [flag, FLAG_VALUES.get(flag, "0.5")]
+    args = build_parser().parse_args(argv)
+    assert args.command == command
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in sorted(READS) for flag in sorted(ALL_FLAGS - READS[command])],
+)
+def test_command_rejects_every_flag_it_does_not_read(command, flag, capsys):
+    # each used to be accepted and ignored: converge --schemes explicit1
+    # wrote explicit2's study, table --n and price --seed changed nothing
+    # (and table --strike was taken as an abbreviation of --strikes)
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, flag, FLAG_VALUES.get(flag, "7")])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [
+        line.split(" #", 1)[0]
+        for block in re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+        for line in block.splitlines()
+        if line.startswith("convbsde ")
+    ]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
@@ -135,7 +203,7 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     [
         ({"numerics": {"log2N": None}}, "log2N"),
         ({"numerics": {"half_width": "wide"}}, "half_width"),
-        ({"numerics": {"epsilon": None}}, "epsilon"),
+        ({"numerics": {"n": None}}, "n must be a finite number"),
         ({"seed": None}, "seed"),
         ({"strikes": [None]}, "strikes"),
         ({"out": 5}, "out"),
@@ -243,29 +311,54 @@ def test_price_on_too_narrow_a_domain_is_a_numerical_abort(flags, ratio, capsys)
 
 
 @pytest.mark.parametrize(
-    "flags, top",
+    "flags, half_width",
     [
+        (["--sigma", "1", "--log2N", "14", "--n", "200", "--half-width", "20"], "20"),
+        (["--sigma", "1", "--log2N", "14", "--n", "200", "--half-width", "25"], "25"),
         (["--log2N", "8", "--sigma", "1e100", "--half-width", "1e101"], "1e+101"),
-        (["--log2N", "10", "--half-width", "700"], "704.60517"),
+        (["--log2N", "10", "--half-width", "700"], "700"),
     ],
 )
-def test_half_width_beyond_float64_room_is_a_numerical_abort(flags, top, capsys):
-    # these overflowed inside the solve and reported "terminal values
-    # must be finite" (exit 2) or "non-finite coefficient kappa" (exit 3)
+def test_half_width_beyond_the_accuracy_limit_is_a_numerical_abort(flags, half_width, capsys):
+    # half-width 20 printed 38.5992 and 25 printed 37.2654 against
+    # Black-Scholes 38.6012, both with exit 0; 700 and 1e101 overflowed
+    # inside the solve
     rc = main(["price", "--n", "50", *flags])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert f"top grid node at log price {top}" in captured.err
-    assert "use --half-width 675.394 or less" in captured.err
+    assert f"--half-width {half_width} is above 14.5" in captured.err
+    assert "use --half-width 14.5 or less" in captured.err
+
+
+def test_widest_accurate_half_width_passes_the_domain_check(capsys):
+    market = MarketParams(sigma=1.0)
+    check_domain_coverage(market, MAX_HALF_WIDTH)
+    with pytest.raises(DomainCoverageBreach, match="use --half-width 14.5 or less"):
+        check_domain_coverage(market, np.nextafter(MAX_HALF_WIDTH, np.inf))
+    rc = main(["price", "--sigma", "1", "--log2N", "12", "--n", "200", "--half-width", "14.5"])
+    assert rc == 0
+    price = float(_parse_kv(capsys.readouterr().out.splitlines()[0])["price"])
+    assert price == pytest.approx(38.6012, abs=1.5e-3)
+
+
+def test_half_width_beyond_float64_room_is_a_numerical_abort(capsys):
+    # at a huge spot the top node leaves float64 room before the
+    # half-width reaches the accuracy limit
+    rc = main(["price", "--n", "50", "--log2N", "10", "--spot", "1e290", "--half-width", "14"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "top grid node at log price 681.74968" in captured.err
+    assert "use --half-width 12.25 or less" in captured.err
 
 
 def test_widest_suggested_half_width_passes_the_domain_check():
-    # ln(100) + 675.394 is just below MAX_LOG_PRICE, 675.395 just above
-    market = MarketParams()
-    check_domain_coverage(market, 675.394)
-    with pytest.raises(DomainCoverageBreach, match="use --half-width 675.394 or less"):
-        check_domain_coverage(market, 675.395)
+    # ln(1e290) + 12.25 is just below MAX_LOG_PRICE, 12.251 just above
+    market = MarketParams(S0=1e290)
+    check_domain_coverage(market, 12.25)
+    with pytest.raises(DomainCoverageBreach, match="use --half-width 12.25 or less"):
+        check_domain_coverage(market, 12.251)
 
 
 def test_widening_the_domain_passes_the_coverage_check(capsys):
@@ -419,7 +512,7 @@ def test_error_surface_writes_node_errors(tmp_path, capsys):
     rc = main(["error-surface", "--n", "200", "--out", str(out)])
     assert rc == 0
     rows = _read_csv(out)
-    assert len(rows) == 2**12 + 1
+    assert len(rows) == 2**12
     assert list(rows[0].keys()) == [
         "x",
         "abs_err_price",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -185,6 +186,20 @@ def test_value_error_inside_a_step_aborts_with_step_index(small_grid):
         solve(spec, small_grid)
     assert exc_info.value.step_index == 4
     assert "non-finite" in exc_info.value.reason
+
+
+def test_slope_that_rounds_the_margin_away_aborts_without_warnings(small_grid):
+    # boundary slopes of -1e20 and +1e20 used to give alpha = inf and
+    # kappa = nan with RuntimeWarnings before the transform refused them
+    spec = brownian_bsde(
+        horizon=0.5, steps=10, terminal=lambda x: 1e20 * np.abs(x), driver=_zero_driver
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolveAborted) as exc_info:
+            solve(spec, small_grid)
+    assert exc_info.value.step_index == 9
+    assert "rounds the slope margin 5 away" in exc_info.value.reason
 
 
 def test_constant_path_runs_one_real_fft_pair_per_convolution(small_grid, monkeypatch):

@@ -1,14 +1,16 @@
 """Tests for the boundary periodization fit and its closed-form adjustment."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convbsde import (
-    DEFAULT_EPSILON,
     EXPECTATION,
     GRADIENT,
+    SLOPE_MARGIN,
     SLOPE_TIE_TOLERANCE,
     TransformCoefficients,
     adjustment_H,
@@ -48,7 +50,6 @@ def test_quadratic_fit_on_unit_interval():
     assert c.alpha == pytest.approx(np.log(9.0 / 7.0), abs=1e-4)
     assert c.beta == pytest.approx(7.0, abs=5e-4)
     assert c.kappa == pytest.approx(28.0, abs=1e-2)
-    assert c.epsilon == DEFAULT_EPSILON
     # frozen regression values
     assert c.alpha == pytest.approx(0.251260173336911, abs=1e-12)
     assert c.beta == pytest.approx(6.999755859375, abs=1e-12)
@@ -106,11 +107,22 @@ def test_beta_dominates_boundary_slopes():
     g = build_grid(0.0, 2.0, 7)
     xs = g.space_nodes(include_right=True)
     samples = np.exp(xs)
-    c = fit_coefficients(samples, g, epsilon=2.5)
+    c = fit_coefficients(samples, g)
     slope_a = (samples[1] - samples[0]) / g.dx
     slope_b = (samples[-1] - samples[-2]) / g.dx
-    assert c.beta == pytest.approx(2.5 + max(abs(slope_a), abs(slope_b)), rel=1e-14)
-    assert c.epsilon == 2.5
+    assert c.beta == pytest.approx(SLOPE_MARGIN + max(abs(slope_a), abs(slope_b)), rel=1e-14)
+
+
+def test_fit_refuses_a_slope_that_rounds_the_margin_away():
+    # boundary slopes of -1e20 and +1e20: SLOPE_MARGIN + 1e20 == 1e20, so
+    # slope_a + beta is exactly 0 and used to give alpha = inf, kappa = nan
+    g = build_grid(0.0, 5.0, 6)
+    samples = np.zeros(g.N + 1)
+    samples[0] = samples[-1] = 1e20 * g.dx
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rounds the slope margin 5 away"):
+            fit_coefficients(samples, g)
 
 
 def test_apply_transform_accepts_n_or_n_plus_one_samples():
@@ -134,24 +146,20 @@ def test_fit_rejects_bad_input():
         fit_coefficients(good[:-1], g)  # needs N+1 samples
     with pytest.raises(ValueError):
         fit_coefficients(np.r_[good[:-1], np.nan], g)
-    with pytest.raises(ValueError):
-        fit_coefficients(good, g, epsilon=0.0)
-    with pytest.raises(ValueError):
-        fit_coefficients(good, g, epsilon=-1.0)
 
 
 def test_apply_rejects_bad_input():
     g = build_grid(0.0, 1.0, 5)
-    c = TransformCoefficients(alpha=0.1, beta=1.0, kappa=0.5, epsilon=5.0)
+    c = TransformCoefficients(alpha=0.1, beta=1.0, kappa=0.5)
     with pytest.raises(ValueError):
         apply_transform(np.zeros(g.N - 1), g, c)
-    bad = TransformCoefficients(alpha=np.nan, beta=1.0, kappa=0.5, epsilon=5.0)
+    bad = TransformCoefficients(alpha=np.nan, beta=1.0, kappa=0.5)
     with pytest.raises(ValueError):
         apply_transform(np.zeros(g.N), g, bad)
 
 
 def test_adjustment_closed_forms():
-    c = TransformCoefficients(alpha=0.0, beta=2.0, kappa=1.5, epsilon=5.0)
+    c = TransformCoefficients(alpha=0.0, beta=2.0, kappa=1.5)
     x = np.array([-1.0, 0.0, 2.0])
     # alpha = 0: expectation image is beta*(x + drift*step) + kappa
     h = adjustment_H(x, c, EXPECTATION, forward_drift=0.25)
@@ -160,18 +168,18 @@ def test_adjustment_closed_forms():
     h = adjustment_H(x, c, GRADIENT, forward_vol=0.4)
     assert np.allclose(h, 0.8, rtol=0.0, atol=1e-15)
     # alpha does not enter: H is the image after regrowth
-    c2 = TransformCoefficients(alpha=0.3, beta=2.0, kappa=1.5, epsilon=5.0)
+    c2 = TransformCoefficients(alpha=0.3, beta=2.0, kappa=1.5)
     h = adjustment_H(1.0, c2, EXPECTATION, forward_drift=0.0)
     assert isinstance(h, float)
     assert h == pytest.approx(3.5, rel=1e-14)
 
 
 def test_adjustment_rejects_unknown_kind():
-    c = TransformCoefficients(alpha=0.0, beta=1.0, kappa=0.0, epsilon=5.0)
+    c = TransformCoefficients(alpha=0.0, beta=1.0, kappa=0.0)
     with pytest.raises(ValueError):
         adjustment_H(0.0, c, "median")
 
 
 def test_tie_tolerance_constant():
     assert SLOPE_TIE_TOLERANCE == 1e-12
-    assert DEFAULT_EPSILON == 5.0
+    assert SLOPE_MARGIN == 5.0
