@@ -40,6 +40,7 @@ from .spectral import (
     GRADIENT,
     IMAG_RESIDUAL_TOLERANCE,
     ImaginaryResidualError,
+    IncrementSpectrum,
     PsiKind,
     convolve_step,
     convolve_step_statedep,
@@ -92,6 +93,7 @@ __all__ = [
     "GRADIENT",
     "IMAG_RESIDUAL_TOLERANCE",
     "ImaginaryResidualError",
+    "IncrementSpectrum",
     "PsiKind",
     "convolve_step",
     "convolve_step_statedep",

@@ -151,9 +151,24 @@ def check_domain_coverage(params: MarketParams, half_width: float) -> None:
     A narrower domain truncates the increment law and returns a wrong
     price, often still inside the static no-arbitrage bounds; a wider
     one loses the price to float64 cancellation, and at a huge S0
-    overflows float64 inside the solve.
+    overflows float64 inside the solve.  When no half-width meets all
+    three conditions the message says so instead of suggesting one.
     """
     spread = params.sigma * np.sqrt(params.T)
+    narrowest = COVERAGE_STDEVS * spread
+    for widest, limit in (
+        (MAX_HALF_WIDTH, "the widest log-price half-width float64 keeps accurate"),
+        (
+            MAX_LOG_PRICE - np.log(params.S0),
+            f"the room float64 leaves below log price {MAX_LOG_PRICE:g}",
+        ),
+    ):
+        if not narrowest <= widest:
+            raise DomainCoverageBreach(
+                f"sigma*sqrt(T) = {spread:.6g} needs a log-price half-width of at "
+                f"least {COVERAGE_STDEVS:g} times that, {narrowest:.6g}, above "
+                f"{widest:.6g}, {limit}: no half-width serves this market"
+            )
     ratio = half_width / spread
     if not ratio >= COVERAGE_STDEVS:
         raise DomainCoverageBreach(

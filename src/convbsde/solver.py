@@ -19,8 +19,8 @@ from .grid import GridPair
 from .model import EXPLICIT_I, EXPLICIT_II, ProblemSpec, SolutionSurface
 from .spectral import (
     ImaginaryResidualError,
+    IncrementSpectrum,
     PsiKind,
-    convolve_step,
     convolve_step_statedep,
 )
 from .transform import (
@@ -173,27 +173,36 @@ def solve(
     u[-1, N] = u[-1, 0]
     reflection = np.zeros((rows, N + 1)) if reflected else None
     diagnostics = [] if collect_diagnostics else None
+    law = None
 
     def convolve(values, a, s, kinds):
         """Fit, transform and convolve one sample vector under drift a, vol s.
 
-        Scalar a and s take one real FFT pair per kind, per-node arrays
-        the row-wise step.  Returns the recovered node values for each
-        requested kind, the fitted coefficients and the largest
-        imaginary residual seen.
+        Scalar a and s share one increment spectrum, built again only
+        when they change, and all requested kinds take one real FFT
+        pair; per-node arrays take the row-wise step once per kind.
+        Returns the recovered node values for each requested kind, the
+        fitted coefficients and the largest imaginary residual seen.
         """
+        nonlocal law
         coeffs = fit_coefficients(values, grid)
         eta = apply_transform(values, grid, coeffs)
+        if np.ndim(a) == np.ndim(s) == 0:
+            if law is None or (law.drift, law.vol) != (a, s):
+                law = IncrementSpectrum(grid, dt, a, s)
+            results = law.convolve(eta, coeffs.alpha, kinds)
+        else:
+            results = [
+                convolve_step_statedep(eta, grid, PsiKind(kind, coeffs.alpha, dt, a, s))
+                for kind in kinds
+            ]
         regrow = np.exp(coeffs.alpha * x)
-        step = convolve_step if np.ndim(a) == np.ndim(s) == 0 else convolve_step_statedep
-        outputs = []
-        residual = 0.0
-        for kind in kinds:
-            theta, res = step(eta, grid, PsiKind(kind, coeffs.alpha, dt, a, s))
-            image = adjustment_H(x, coeffs, kind, forward_drift=a * dt, forward_vol=s)
-            outputs.append(regrow * theta - image)
-            residual = max(residual, res)
-        return outputs, coeffs, residual
+        outputs = [
+            regrow * theta
+            - adjustment_H(x, coeffs, kind, forward_drift=a * dt, forward_vol=s)
+            for (theta, _), kind in zip(results, kinds)
+        ]
+        return outputs, coeffs, max(residual for _, residual in results)
 
     # Right-edge sample for the fit: honest terminal value first, then
     # linear extension of the computed rows.

@@ -13,6 +13,16 @@ Only the Nyquist bin m = -N/2 is unpaired.  irfft drops the imaginary
 part of its term, which has magnitude |Im(psi(nu_{N/2}) F_{N/2})| / N at
 every node: the imaginary residual in closed form.
 
+With constant drift and vol the multiplier factors into a part fixed for
+the whole solve and a part that follows the fitted alpha,
+
+    phi(nu - i*alpha) = phi(nu) * exp(step*(drift*alpha + vol^2*alpha^2/2))
+                                * exp(i*step*vol^2*alpha*nu),
+
+and the gradient multiplier is vol*(alpha + i*nu) times the expectation
+one.  ``IncrementSpectrum`` keeps phi(nu), so a step takes one rfft of
+its samples and one stacked irfft for all requested kinds.
+
 ``dft`` and ``idft`` state the DFT convention: the forward transform
 carries the 1/N factor, the inverse none.
 """
@@ -132,6 +142,84 @@ def _guard(theta: np.ndarray, nyquist_imag: float, N: int):
     return theta, residual
 
 
+class IncrementSpectrum:
+    """The increment law of a constant-coefficient step on a grid's frequencies.
+
+    phi(nu) = increment_cf(nu, step, drift, vol) is evaluated once on
+    the real-FFT nodes nu_m = m*dnu, m = 0..N/2, and serves every step
+    with the same (step, drift, vol); only the scalar and the phase of
+    the factored multiplier follow alpha.  The phase exp(i*c*m*dnu) is
+    the outer product of a coarse table over m = q*B and a fine table
+    over m = r < B, with B about sqrt(N/2), so it costs about sqrt(2N)
+    complex exponentials instead of N/2+1.
+    """
+
+    def __init__(self, grid: GridPair, step: float, drift: float, vol: float):
+        if np.ndim(drift) or np.ndim(vol):
+            raise ValueError(
+                "drift and vol must be scalars; per-node arrays take convolve_step_statedep"
+            )
+        if not (np.isfinite(drift) and np.isfinite(vol)):
+            raise ValueError(f"non-finite drift {drift!r} or vol {vol!r}")
+        self.grid = grid
+        self.step = step
+        self.drift = float(drift)
+        self.vol = float(vol)
+        nu = grid.frequencies()
+        self._phi = increment_cf(nu, step, self.drift, self.vol)
+        self._i_vol_nu = 1j * self.vol * nu
+        fine = int(np.ceil(np.sqrt(nu.size)))
+        self._fine = np.arange(fine, dtype=float)
+        self._coarse = fine * np.arange(-(-nu.size // fine), dtype=float)
+
+    def multipliers(self, alpha: float, kinds) -> np.ndarray:
+        """The psi multiplier of each kind on the frequency nodes.
+
+        Row j holds ``PsiKind(kinds[j], alpha, step, drift, vol).values``
+        at nu_m, m = 0..N/2, built from the cached phi(nu): the
+        expectation row is phi(nu - i*alpha), the gradient row
+        vol*(alpha + i*nu) times it.
+        """
+        rate = self.step * self.vol**2 * alpha * self.grid.dnu
+        scale = self.step * alpha * (self.drift + 0.5 * self.vol**2 * alpha)
+        coarse = np.exp(scale + 1j * rate * self._coarse)
+        fine = np.exp(1j * rate * self._fine)
+        expectation = np.multiply.outer(coarse, fine).ravel()[: self._phi.size]
+        expectation *= self._phi
+        rows = np.empty((len(kinds), expectation.size), dtype=complex)
+        for row, kind in zip(rows, kinds):
+            if kind == EXPECTATION:
+                row[:] = expectation
+            elif kind == GRADIENT:
+                np.multiply(self.vol * alpha + self._i_vol_nu, expectation, out=row)
+            else:
+                raise ValueError(f"unknown psi tag: {kind!r}")
+        return rows
+
+    def convolve(self, eta: np.ndarray, alpha: float, kinds):
+        """Convolve transformed samples once for each requested kind.
+
+        ``eta`` is the output of ``apply_transform`` for dampening
+        exponent ``alpha``, length N; ``kinds`` holds EXPECTATION and/or
+        GRADIENT tags.  One rfft of eta feeds every kind and one irfft
+        of the stacked products returns them all.  Returns a list with
+        one ``(theta, residual)`` per kind, as ``convolve_step`` does.
+
+        Raises
+        ------
+        ImaginaryResidualError
+            If a residual exceeds ``IMAG_RESIDUAL_TOLERANCE``.
+        """
+        eta = _check_eta(eta, self.grid)
+        products = self.multipliers(alpha, kinds)
+        products *= np.fft.rfft(eta)
+        thetas = np.fft.irfft(products, self.grid.N)
+        return [
+            _guard(theta, abs(row[-1].imag), self.grid.N)
+            for theta, row in zip(thetas, products)
+        ]
+
+
 def convolve_step(eta: np.ndarray, grid: GridPair, psi: PsiKind):
     """Convolve transformed samples against the psi multiplier.
 
@@ -139,17 +227,17 @@ def convolve_step(eta: np.ndarray, grid: GridPair, psi: PsiKind):
     ``apply_transform``), length N, and psi's drift and vol scalars.
     Returns ``(theta, residual)``: theta at the nodes x_0..x_{N-1} (the
     value at x_N is theta(x_0) by periodicity) and the relative
-    imaginary residual that was discarded.
+    imaginary residual that was discarded.  A solve keeps one
+    ``IncrementSpectrum`` across its steps instead.
 
     Raises
     ------
     ImaginaryResidualError
         If that residual exceeds ``IMAG_RESIDUAL_TOLERANCE``.
     """
-    eta = _check_eta(eta, grid)
-    product = psi.values(grid.frequencies()) * np.fft.rfft(eta)
-    theta = np.fft.irfft(product, grid.N)
-    return _guard(theta, abs(product[-1].imag), grid.N)
+    law = IncrementSpectrum(grid, psi.step, psi.drift, psi.vol)
+    (result,) = law.convolve(eta, psi.alpha, (psi.tag,))
+    return result
 
 
 def convolve_step_statedep(eta: np.ndarray, grid: GridPair, psi: PsiKind):

@@ -296,7 +296,6 @@ def test_price_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, ca
         (["--sigma", "2.0"], "2.5"),
         (["--sigma", "2.0", "--style", "american"], "2.5"),
         (["--sigma", "0.5", "--maturity", "16"], "2.5"),
-        (["--sigma", "1e200"], "5e-200"),
     ],
 )
 def test_price_on_too_narrow_a_domain_is_a_numerical_abort(flags, ratio, capsys):
@@ -315,7 +314,6 @@ def test_price_on_too_narrow_a_domain_is_a_numerical_abort(flags, ratio, capsys)
     [
         (["--sigma", "1", "--log2N", "14", "--n", "200", "--half-width", "20"], "20"),
         (["--sigma", "1", "--log2N", "14", "--n", "200", "--half-width", "25"], "25"),
-        (["--log2N", "8", "--sigma", "1e100", "--half-width", "1e101"], "1e+101"),
         (["--log2N", "10", "--half-width", "700"], "700"),
     ],
 )
@@ -329,6 +327,38 @@ def test_half_width_beyond_the_accuracy_limit_is_a_numerical_abort(flags, half_w
     assert captured.out == ""
     assert f"--half-width {half_width} is above 14.5" in captured.err
     assert "use --half-width 14.5 or less" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, spread, limit",
+    [
+        (["--sigma", "3"], "3", "above 14.5, the widest"),
+        (["--sigma", "3", "--half-width", "15"], "3", "above 14.5, the widest"),
+        (["--n", "50", "--log2N", "8", "--sigma", "1e200"], "1e+200", "above 14.5, the widest"),
+        (
+            ["--n", "50", "--log2N", "8", "--sigma", "1e100", "--half-width", "1e101"],
+            "1e+100",
+            "above 14.5, the widest",
+        ),
+        (
+            ["--n", "50", "--log2N", "8", "--spot", "1e295", "--sigma", "0.6"],
+            "0.6",
+            "above 0.737398, the room float64 leaves below log price 680",
+        ),
+    ],
+)
+def test_market_that_no_half_width_serves_is_one_numerical_abort(flags, spread, limit, capsys):
+    # sigma = 3 needs a half-width of 15 and float64 keeps 14.5: the
+    # default half-width used to say "use --half-width 15 or more" and
+    # 15 then said "14.5 or less".  Both now fail with one message.
+    rc = main(["price", *flags])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"sigma*sqrt(T) = {spread} needs a log-price half-width" in captured.err
+    assert limit in captured.err
+    assert "no half-width serves this market" in captured.err
+    assert "use --half-width" not in captured.err
 
 
 def test_widest_accurate_half_width_passes_the_domain_check(capsys):

@@ -23,7 +23,7 @@ from convbsde import (
     solve,
     value_at_start,
 )
-from convbsde.pricing import COVERAGE_STDEVS
+from convbsde.pricing import COVERAGE_STDEVS, MAX_HALF_WIDTH, MAX_LOG_PRICE
 
 
 def test_market_defaults():
@@ -165,3 +165,21 @@ def test_domain_coverage_needs_five_standard_deviations(sigma, T):
         check_domain_coverage(market, narrow)
     assert f"sigma*sqrt(T) = {spread:g}" in str(info.value)
     assert f"use --half-width {COVERAGE_STDEVS * spread:g} or more" in str(info.value)
+
+
+def test_domain_coverage_says_when_no_half_width_serves():
+    # at 5*sigma*sqrt(T) = MAX_HALF_WIDTH exactly one half-width passes;
+    # one ulp more sigma leaves none, whatever half-width is asked for
+    market = MarketParams(sigma=MAX_HALF_WIDTH / COVERAGE_STDEVS)
+    check_domain_coverage(market, MAX_HALF_WIDTH)
+    wider = MarketParams(sigma=np.nextafter(market.sigma, np.inf))
+    for half_width in (5.0, MAX_HALF_WIDTH, 20.0):
+        with pytest.raises(DomainCoverageBreach, match="no half-width serves") as info:
+            check_domain_coverage(wider, half_width)
+        assert "sigma*sqrt(T) = 2.9 needs" in str(info.value)
+        assert "use --half-width" not in str(info.value)
+    # the same when the spot leaves less log-price room than 5 sigma*sqrt(T)
+    spot = MarketParams(S0=float(np.exp(MAX_LOG_PRICE - 0.9)))
+    with pytest.raises(DomainCoverageBreach, match="no half-width serves") as info:
+        check_domain_coverage(spot, 0.5)
+    assert "above 0.9, the room float64 leaves below log price 680" in str(info.value)

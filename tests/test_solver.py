@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import convbsde.solver as solver_module
+import convbsde.spectral as spectral_module
 from convbsde import (
     EXPECTATION,
     EXPLICIT_I,
@@ -16,6 +17,7 @@ from convbsde import (
     GRADIENT,
     STYLE_AMERICAN,
     STYLE_EUROPEAN,
+    IncrementSpectrum,
     MarketParams,
     PsiKind,
     SolveAborted,
@@ -202,24 +204,31 @@ def test_slope_that_rounds_the_margin_away_aborts_without_warnings(small_grid):
     assert "rounds the slope margin 5 away" in exc_info.value.reason
 
 
-def test_constant_path_runs_one_real_fft_pair_per_convolution(small_grid, monkeypatch):
+@pytest.mark.parametrize(
+    "scheme, vectors, rows", [(EXPLICIT_I, 2, 1), (EXPLICIT_II, 1, 2)]
+)
+def test_constant_path_takes_one_rfft_per_sample_vector(scheme, vectors, rows, small_grid, monkeypatch):
+    # explicit2 convolves one vector for both kinds: one rfft and one
+    # irfft of the stacked (2, N/2+1) products; explicit1 convolves two
+    # vectors, one kind each.  No complex transform is taken.
     calls = Counter()
     for name in ("fft", "ifft", "rfft", "irfft"):
 
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name, np.shape(a)] += 1
+            return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     steps = 10
-    for scheme in (EXPLICIT_I, EXPLICIT_II):
-        spec = brownian_bsde(
-            horizon=0.5, steps=steps, terminal=np.tanh, driver=_zero_driver, scheme=scheme
-        )
-        solve(spec, small_grid)
-    # both schemes convolve twice per step: expectation and gradient
-    convolutions = 2 * 2 * steps
-    assert calls == {"rfft": convolutions, "irfft": convolutions}
+    spec = brownian_bsde(
+        horizon=0.5, steps=steps, terminal=np.tanh, driver=_zero_driver, scheme=scheme
+    )
+    solve(spec, small_grid)
+    N = small_grid.N
+    assert calls == {
+        ("rfft", (N,)): vectors * steps,
+        ("irfft", (rows, N // 2 + 1)): vectors * steps,
+    }
 
 
 def _selection_spec(case):
@@ -258,20 +267,45 @@ def test_each_step_picks_its_convolution_from_the_node_coefficients(
     case, fast, scheme, monkeypatch
 ):
     # drift and vol sampled on the nodes decide the step: one value at
-    # every node takes the single-FFT convolution, anything else the
-    # per-node one; nothing is declared on the spec
+    # every node takes the shared-spectrum convolution, anything else
+    # the per-node one; nothing is declared on the spec.  Each entry
+    # point counts the convolutions (kinds) it computes.
     calls = Counter()
-    for name in ("convolve_step", "convolve_step_statedep"):
+    shared = IncrementSpectrum.convolve
 
-        def counted(*args, _name=name, _fn=getattr(solver_module, name)):
-            calls[_name] += 1
-            return _fn(*args)
+    def counted_shared(self, eta, alpha, kinds):
+        calls["IncrementSpectrum.convolve"] += len(kinds)
+        return shared(self, eta, alpha, kinds)
 
-        monkeypatch.setattr(solver_module, name, counted)
+    def counted_statedep(*args, _fn=solver_module.convolve_step_statedep):
+        calls["convolve_step_statedep"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(IncrementSpectrum, "convolve", counted_shared)
+    monkeypatch.setattr(solver_module, "convolve_step_statedep", counted_statedep)
     spec = dataclasses.replace(_selection_spec(case), scheme=scheme)
     solve(spec, build_grid(spec.x_init, 2.0, 7))
-    taken = "convolve_step" if fast else "convolve_step_statedep"
+    taken = "IncrementSpectrum.convolve" if fast else "convolve_step_statedep"
     assert calls == {taken: 2 * spec.steps}
+
+
+@pytest.mark.parametrize("case, builds", [("constant", 1), ("time-varying", 6)])
+def test_constant_path_evaluates_the_increment_law_once_per_coefficient_pair(
+    case, builds, monkeypatch
+):
+    # phi(nu) is built once per solve, and again only when the
+    # per-step (drift, vol) changes
+    calls = Counter()
+    cf = spectral_module.increment_cf
+
+    def counted(*args):
+        calls["increment_cf"] += 1
+        return cf(*args)
+
+    monkeypatch.setattr(spectral_module, "increment_cf", counted)
+    spec = _selection_spec(case)
+    solve(spec, build_grid(spec.x_init, 2.0, 7))
+    assert calls == {"increment_cf": builds}
 
 
 def _full_complex_row_residual(eta, grid, psi_per_node):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convbsde import (
@@ -10,6 +10,7 @@ from convbsde import (
     GRADIENT,
     IMAG_RESIDUAL_TOLERANCE,
     ImaginaryResidualError,
+    IncrementSpectrum,
     PsiKind,
     build_grid,
     convolve_step,
@@ -116,6 +117,87 @@ def test_real_fft_step_matches_full_complex_formula(log2N, alpha, drift, vol, ki
         assert np.max(np.abs(theta - reference)) <= 1e-12 * scale
     if measured > 1e-13:
         assert residual == pytest.approx(measured, rel=1e-2)
+
+
+_STEP_LAWS = dict(
+    log2N=st.integers(2, 12),
+    half_width=st.floats(0.5, 14.5),
+    step=st.floats(1e-4, 1.0),
+    drift=st.floats(-1.0, 1.0),
+    vol=st.floats(0.1, 2.0),
+    alpha=st.floats(-3.0, 3.0),
+)
+
+
+@given(**_STEP_LAWS)
+@example(log2N=12, half_width=5.0, step=1e-3, drift=0.03, vol=0.2, alpha=0.0)
+@example(log2N=12, half_width=5.0, step=1e-3, drift=0.03, vol=0.2, alpha=-1.5)
+@example(log2N=2, half_width=1.0, step=0.5, drift=-0.4, vol=1.5, alpha=2.5)
+@settings(max_examples=80, deadline=None)
+def test_cached_spectrum_factors_the_dampened_multiplier(
+    log2N, half_width, step, drift, vol, alpha
+):
+    # phi(nu) times the scalar and the phase table is phi(nu - i*alpha),
+    # and its gradient row is vol*(alpha + i*nu) times that
+    g = build_grid(0.0, half_width, log2N)
+    nu = g.frequencies()
+    rows = IncrementSpectrum(g, step, drift, vol).multipliers(alpha, (EXPECTATION, GRADIENT))
+    for row, kind in zip(rows, (EXPECTATION, GRADIENT)):
+        direct = PsiKind(kind, alpha, step, drift, vol).values(nu)
+        assert np.max(np.abs(row - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def _standalone(eta, grid, psi):
+    """convolve_step's (theta, residual), or the residual it raised."""
+    try:
+        return convolve_step(eta, grid, psi)
+    except ImaginaryResidualError as exc:
+        return exc.residual
+
+
+@given(
+    **_STEP_LAWS,
+    kinds=st.sampled_from(
+        [(EXPECTATION, GRADIENT), (GRADIENT, EXPECTATION), (EXPECTATION,), (GRADIENT,)]
+    ),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(log2N=12, half_width=5.0, step=1e-3, drift=0.03, vol=0.2, alpha=0.0,
+         kinds=(EXPECTATION, GRADIENT), seed=1)
+@example(log2N=12, half_width=5.0, step=1e-3, drift=0.03, vol=0.2, alpha=-0.8,
+         kinds=(EXPECTATION, GRADIENT), seed=2)
+@settings(max_examples=80, deadline=None)
+def test_stacked_rows_match_standalone_convolutions(
+    log2N, half_width, step, drift, vol, alpha, kinds, seed
+):
+    # one rfft and one stacked irfft give each kind the theta and the
+    # residual of its own convolve_step call, or raise the first
+    # residual a standalone call raises
+    g = build_grid(0.0, half_width, log2N)
+    x = g.space_nodes()
+    rng = np.random.default_rng(seed)
+    eta = np.exp(-(x**2)) * (1.0 + 0.1 * rng.standard_normal(g.N))
+    law = IncrementSpectrum(g, step, drift, vol)
+    expected = [_standalone(eta, g, PsiKind(kind, alpha, step, drift, vol)) for kind in kinds]
+    raised = [r for r in expected if not isinstance(r, tuple)]
+    if raised:
+        with pytest.raises(ImaginaryResidualError) as info:
+            law.convolve(eta, alpha, kinds)
+        assert info.value.residual == pytest.approx(raised[0], rel=1e-13)
+        return
+    for (theta, residual), (ref, ref_residual) in zip(law.convolve(eta, alpha, kinds), expected):
+        assert np.max(np.abs(theta - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert residual == pytest.approx(ref_residual, rel=1e-13, abs=1e-300)
+
+
+def test_increment_spectrum_takes_finite_scalar_coefficients():
+    g = build_grid(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="scalars"):
+        IncrementSpectrum(g, 0.1, np.zeros(g.N), 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        IncrementSpectrum(g, 0.1, np.nan, 1.0)
+    with pytest.raises(ValueError, match="unknown psi tag"):
+        IncrementSpectrum(g, 0.1, 0.0, 1.0).convolve(np.zeros(g.N), 0.1, ("curvature",))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
