@@ -340,15 +340,13 @@ def cmd_error_surface(config: RunConfig) -> int:
         )
     market = config.market
     _, surface = _solve_market(market, config.numerics)
-    # x_0..x_{N-1}: node x_N holds the periodic wrap of x_0, not a
-    # value the solver computed there
     x = surface.grid.space_nodes()
     spots = np.exp(x)
     ref_price, ref_delta = black_scholes_call_curve(
         spots, market.K, market.r, market.div, market.sigma, market.T
     )
-    node_delta = surface.udot[0, : x.size] / (market.sigma * spots)
-    err_price = np.abs(surface.u[0, : x.size] - ref_price)
+    node_delta = surface.udot[0] / (market.sigma * spots)
+    err_price = np.abs(surface.u[0] - ref_price)
     err_delta = np.abs(node_delta - ref_delta)
     floor = 1e-300  # keeps log10 finite at exact zeros
     log_errs = np.log10(np.maximum((err_price, err_delta), floor))

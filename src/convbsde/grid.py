@@ -23,10 +23,10 @@ MAX_LOG2N = 24
 class GridPair:
     """Uniform space grid with its matched frequency grid.
 
-    Space nodes are x_k = x0 + k*dx for k = 0..N; only x_0..x_{N-1}
-    enter a DFT, and the value at x_N is recovered afterwards by the
-    periodic wrap theta(x_N) = theta(x_0).  The middle node x_{N/2}
-    equals ``center`` so the initial state needs no interpolation.
+    Space nodes are x_k = x0 + k*dx for k = 0..N-1, the DFT nodes; the
+    right endpoint x_N = x0 + l serves only the periodization fit.  The
+    middle node x_{N/2} equals ``center`` so the initial state needs no
+    interpolation.
     The real-FFT frequency nodes are nu_m = m*dnu for m = 0..N/2.
 
     Only N, the number of DFT nodes (a power of two), the midpoint

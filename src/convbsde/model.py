@@ -68,11 +68,11 @@ class SolutionSurface:
     component; times[i] is t_i.  A full surface keeps rows 0..n: row n
     is the terminal payoff and udot's row n is zero.  A start-row
     surface (``solve(..., full_surface=False)``) keeps row 0 alone, so
-    u, udot and reflection have shape (1, N+1) and times is [t_0].
-    Column N repeats column 0: the spectral step only produces nodes
-    0..N-1 and assigns x_N its periodic-wrap value.  reflection, when
-    present, holds the nonnegative increments that pushed u back above
-    the barrier.  diagnostics is filled on request by the solver.
+    u, udot and reflection have shape (1, N) and times is [t_0].
+    Column k belongs to the DFT node x_k, k = 0..N-1, the nodes the
+    spectral step computes.  reflection, when present, holds the
+    nonnegative increments that pushed u back above the barrier.
+    diagnostics is filled on request by the solver.
     """
 
     grid: GridPair

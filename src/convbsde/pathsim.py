@@ -57,7 +57,7 @@ def simulate_paths(
     if count < 1:
         raise ValueError("count must be at least 1")
     n = spec.steps
-    if surface.u.shape != (n + 1, surface.grid.N + 1):
+    if surface.u.shape != (n + 1, surface.grid.N):
         raise ValueError("surface does not match the problem's mesh")
     check_storage(count * (n + 1) * 8 * 5, f"{count} paths at n={n}")
 
@@ -91,12 +91,12 @@ def simulate_paths(
     z_paths = np.empty((count, n + 1))
     a_paths = np.zeros((count, n + 1))
     for i in range(n + 1):
-        y_paths[:, i] = np.interp(x_paths[:, i], nodes, surface.u[i, : grid.N])
-        z_paths[:, i] = np.interp(x_paths[:, i], nodes, surface.udot[i, : grid.N])
+        y_paths[:, i] = np.interp(x_paths[:, i], nodes, surface.u[i])
+        z_paths[:, i] = np.interp(x_paths[:, i], nodes, surface.udot[i])
     if surface.reflection is not None:
         for i in range(n):
             a_paths[:, i + 1] = a_paths[:, i] + np.interp(
-                x_paths[:, i], nodes, surface.reflection[i, : grid.N]
+                x_paths[:, i], nodes, surface.reflection[i]
             )
 
     return [

@@ -36,13 +36,16 @@ COVERAGE_STDEVS = 5.0
 # (38.6012) at sigma = 1, S0 = K = 100, by half-width:
 #
 #   nodes, n        10      14    14.5      15      20
-#   2^12, 200   6.4e-4  7.1e-4  7.2e-4  7.5e-4  1.6e-3
-#   2^12, 1000  1.8e-4  3.0e-4  3.4e-4  4.2e-4  3.4e-2
-#   2^14, 200   5.7e-4  5.8e-4  5.9e-4  6.0e-4  2.1e-3
-#   2^14, 1000  1.2e-4  1.6e-4  1.9e-4  2.2e-4  3.0e-2
+#   2^12, 200   6.4e-4  7.1e-4  7.1e-4  7.0e-4  2.8e-3
+#   2^12, 1000  1.8e-4  2.9e-4  2.9e-4  3.5e-4  1.0e-2
+#   2^14, 200   5.7e-4  5.8e-4  5.8e-4  5.5e-4  1.1e-3
+#   2^14, 1000  1.2e-4  1.2e-4  1.6e-4  2.1e-4  9.7e-3
 #
-# 14.5 is the widest measured half-width whose error stays within 2x of
-# the half-width-10 error on every row; 15 breaks it at 2^12, n = 1000.
+# At 14.5 every row stays within 1.6x of its half-width-10 error; 20
+# fails by up to 80x.  The error is absolute: at 2^12 nodes, n = 1000 and
+# half-width 14.5, sigma = 0.2 calls struck at 200 (price 2.3e-3) and
+# 1000 (5e-30) are off by 1.1e-5 and 1.5e-5, so deep out of the money
+# the relative error is unbounded.
 MAX_HALF_WIDTH = 14.5
 # Largest log price ln(S0) + half_width the grid's top node may carry.
 # exp overflows float64 above 709.78, and a solve needs room beyond the

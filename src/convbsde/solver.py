@@ -34,8 +34,8 @@ from .transform import (
 
 
 # Largest array storage one solve or path simulation may hold, in
-# bytes (2 GiB).  A full American surface at N=4096 (98,328 bytes a
-# row) fits up to n=21,839; a start-row solve fits on every grid
+# bytes (2 GiB).  A full American surface at N=4096 (98,304 bytes a
+# row) fits up to n=21,844; a start-row solve fits on every grid
 # build_grid allows.
 MAX_STORAGE_BYTES = 2**31
 
@@ -75,16 +75,12 @@ class StepDiagnostics:
 def _extended_samples(values: np.ndarray) -> np.ndarray:
     """Append a right-edge sample by linear extension.
 
-    The spectral step yields honest values only at nodes 0..N-1 (node N
-    gets the periodic wrap), but the coefficient fit needs a sample at
-    x_N for the backward difference there.  Extending the last two
-    honest nodes linearly makes that difference equal the slope between
-    them.
+    The spectral step computes nodes 0..N-1 only, but the coefficient
+    fit needs a sample at x_N for the backward difference there.
+    Extending the last two nodes linearly makes that difference equal
+    the slope between them.
     """
-    out = np.empty(values.size + 1)
-    out[:-1] = values
-    out[-1] = 2.0 * values[-1] - values[-2]
-    return out
+    return np.append(values, 2.0 * values[-1] - values[-2])
 
 
 def _node_values(coefficient, t: float, x: np.ndarray):
@@ -111,7 +107,7 @@ def solve(
 
     The recursion reads only the row computed one step earlier, so
     ``full_surface=False`` keeps the start row alone: u, udot and the
-    reflection then have shape (1, N+1) and their row 0 (time t_0) is
+    reflection then have shape (1, N) and their row 0 (time t_0) is
     bitwise equal to row 0 of the full surface.  Memory is O(N)
     instead of O(n N).
 
@@ -147,7 +143,7 @@ def solve(
     reflected = spec.barrier is not None
     rows = n + 1 if full_surface else 1
     check_storage(
-        rows * (N + 1) * 8 * (3 if reflected else 2),
+        rows * N * 8 * (3 if reflected else 2),
         f"a {rows}-row surface at n={n}, log2N={N.bit_length() - 1}",
     )
     dt = spec.step_size
@@ -167,11 +163,10 @@ def solve(
         if np.any(b_terminal > g_full + tol):
             raise ValueError("terminal payoff must dominate the barrier at maturity")
 
-    u = np.empty((rows, N + 1))
-    udot = np.zeros((rows, N + 1))
-    u[-1, :N] = g_full[:N]
-    u[-1, N] = u[-1, 0]
-    reflection = np.zeros((rows, N + 1)) if reflected else None
+    u = np.empty((rows, N))
+    udot = np.zeros((rows, N))
+    u[-1] = g_full[:N]
+    reflection = np.zeros((rows, N)) if reflected else None
     diagnostics = [] if collect_diagnostics else None
     law = None
 
@@ -186,7 +181,7 @@ def solve(
         """
         nonlocal law
         coeffs = fit_coefficients(values, grid)
-        eta = apply_transform(values, grid, coeffs)
+        eta, regrow = apply_transform(values[:N], x, coeffs)
         if np.ndim(a) == np.ndim(s) == 0:
             if law is None or (law.drift, law.vol) != (a, s):
                 law = IncrementSpectrum(grid, dt, a, s)
@@ -196,7 +191,6 @@ def solve(
                 convolve_step_statedep(eta, grid, PsiKind(kind, coeffs.alpha, dt, a, s))
                 for kind in kinds
             ]
-        regrow = np.exp(coeffs.alpha * x)
         outputs = [
             regrow * theta
             - adjustment_H(x, coeffs, kind, forward_drift=a * dt, forward_vol=s)
@@ -204,11 +198,8 @@ def solve(
         ]
         return outputs, coeffs, max(residual for _, residual in results)
 
-    # Right-edge sample for the fit: honest terminal value first, then
-    # linear extension of the computed rows.
-    samples = np.empty(N + 1)
-    samples[:N] = g_full[:N]
-    samples[N] = g_full[N]
+    # the fit's right-edge sample: the payoff at x_N, then linear extension
+    samples = g_full
 
     for i in range(n - 1, -1, -1):
         t = times[i]
@@ -238,8 +229,7 @@ def solve(
             b = np.asarray(spec.barrier(t, x), dtype=float)
             increments = np.maximum(b - raw, 0.0)
             active = int(np.count_nonzero(increments))
-            reflection[row, :N] = increments
-            reflection[row, N] = reflection[row, 0]
+            reflection[row] = increments
             u_i = np.maximum(raw, b)
         else:
             u_i = raw
@@ -247,10 +237,8 @@ def solve(
         if not (np.all(np.isfinite(u_i)) and np.all(np.isfinite(udot_i))):
             raise SolveAborted(i, "non-finite solution values")
 
-        u[row, :N] = u_i
-        u[row, N] = u_i[0]
-        udot[row, :N] = udot_i
-        udot[row, N] = udot_i[0]
+        u[row] = u_i
+        udot[row] = udot_i
         if collect_diagnostics:
             diagnostics.append(StepDiagnostics(i, coeffs, residual, active))
 

@@ -199,7 +199,7 @@ class IncrementSpectrum:
     def convolve(self, eta: np.ndarray, alpha: float, kinds):
         """Convolve transformed samples once for each requested kind.
 
-        ``eta`` is the output of ``apply_transform`` for dampening
+        ``eta`` is the first output of ``apply_transform`` for dampening
         exponent ``alpha``, length N; ``kinds`` holds EXPECTATION and/or
         GRADIENT tags.  One rfft of eta feeds every kind and one irfft
         of the stacked products returns them all.  Returns a list with
@@ -223,11 +223,10 @@ class IncrementSpectrum:
 def convolve_step(eta: np.ndarray, grid: GridPair, psi: PsiKind):
     """Convolve transformed samples against the psi multiplier.
 
-    ``eta`` must already be periodized and dampened (the output of
-    ``apply_transform``), length N, and psi's drift and vol scalars.
-    Returns ``(theta, residual)``: theta at the nodes x_0..x_{N-1} (the
-    value at x_N is theta(x_0) by periodicity) and the relative
-    imaginary residual that was discarded.  A solve keeps one
+    ``eta`` must already be periodized and dampened (the first output
+    of ``apply_transform``), length N, and psi's drift and vol scalars.
+    Returns ``(theta, residual)``: theta at the nodes x_0..x_{N-1} and
+    the relative imaginary residual that was discarded.  A solve keeps one
     ``IncrementSpectrum`` across its steps instead.
 
     Raises

@@ -25,9 +25,15 @@ from .grid import GridPair
 EXPECTATION = "expectation"
 GRADIENT = "gradient"
 
-# Below this absolute slope gap the two boundary slopes are treated as
-# equal and the degenerate (alpha = kappa = 0) branch is used.
-SLOPE_TIE_TOLERANCE = 1e-12
+# Boundary slopes closer than this multiple of beta = SLOPE_MARGIN +
+# max(|slope_a|, |slope_b|) take the degenerate (alpha = kappa = 0)
+# branch.  The other branch's kappa ~ beta^2 * l / gap cancels against H
+# with an error near 1e-16 * kappa, while leaving the gap unmatched costs
+# about the gap.  On Brownian probes with terminal lam*(m*x + c*x^2) in 8
+# grid and scale setups the two errors cross at gap / beta = 1.3e-6 to
+# 1.3e-5; at 5e-6 the branch taken is within 6.3x of the better one on
+# all 248 probes.  Call payoffs have gap / beta near 1.
+SLOPE_TIE_TOLERANCE = 5e-6
 
 # The slope margin epsilon by which beta exceeds both boundary slope
 # magnitudes in the non-degenerate branch.
@@ -53,12 +59,14 @@ def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficien
     """Fit periodization coefficients to samples on all grid nodes.
 
     Boundary slopes are estimated by first-order one-sided differences:
-    forward at x_0, backward at x_N.  If the two estimates agree to
-    within 1e-12 the linear trend alone periodizes the samples and
-    alpha = kappa = 0 with beta = -(eta(b) - eta(a))/(b - a).  Otherwise
-    beta = SLOPE_MARGIN + max(|slope_a|, |slope_b|) and alpha, kappa
-    follow from matching values and slopes at the endpoints; a slope so
-    steep that float64 rounds most of the margin away is a ValueError.
+    forward at x_0, backward at x_N.  With beta = SLOPE_MARGIN +
+    max(|slope_a|, |slope_b|), alpha and kappa follow from matching
+    values and slopes at the endpoints; a slope so steep that float64
+    rounds most of the margin away is a ValueError.  When the two slopes
+    differ by at most SLOPE_TIE_TOLERANCE * beta that fit is worse
+    conditioned than the slope gap it removes, so the linear trend alone
+    periodizes the samples instead: alpha = kappa = 0 with
+    beta = -(eta(b) - eta(a))/(b - a).
 
     Parameters
     ----------
@@ -81,12 +89,11 @@ def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficien
     slope_a = (samples[1] - samples[0]) / grid.dx
     slope_b = (samples[-1] - samples[-2]) / grid.dx
 
-    if abs(slope_a - slope_b) <= SLOPE_TIE_TOLERANCE:
-        beta = -(samples[-1] - samples[0]) / (b - a)
-        return TransformCoefficients(alpha=0.0, beta=beta, kappa=0.0)
-
     steepest = max(abs(slope_a), abs(slope_b))
     beta = SLOPE_MARGIN + steepest
+    if abs(slope_a - slope_b) <= SLOPE_TIE_TOLERANCE * beta:
+        trend = -(samples[-1] - samples[0]) / (b - a)
+        return TransformCoefficients(alpha=0.0, beta=trend, kappa=0.0)
     if not beta - steepest > 0.5 * SLOPE_MARGIN:
         raise ValueError(
             f"boundary slope {steepest:.3g} rounds the slope margin "
@@ -102,22 +109,21 @@ def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficien
 
 
 def apply_transform(
-    samples: np.ndarray, grid: GridPair, coeffs: TransformCoefficients
-) -> np.ndarray:
-    """Return the modified dampened samples on the DFT nodes x_0..x_{N-1}.
+    samples: np.ndarray, x: np.ndarray, coeffs: TransformCoefficients
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(eta, regrow)`` for samples on the DFT nodes x_0..x_{N-1}.
 
-    Accepts samples of length N or N+1; the right-edge sample, when
-    present, is ignored because DFT input excludes x_N.
+    regrow = exp(alpha*x) undoes the dampening of the modified samples
+    eta = (samples + beta*x + kappa) / regrow after the convolution.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size not in (grid.N, grid.N + 1):
-        raise ValueError(f"samples must have length {grid.N} or {grid.N + 1}")
+    if samples.ndim != 1 or samples.shape != np.shape(x):
+        raise ValueError(f"samples must have one value per DFT node, {np.size(x)}")
     for name in ("alpha", "beta", "kappa"):
         if not np.isfinite(getattr(coeffs, name)):
             raise ValueError(f"non-finite coefficient {name}")
-    x = grid.space_nodes()
-    eta = samples[: grid.N]
-    return np.exp(-coeffs.alpha * x) * (eta + coeffs.beta * x + coeffs.kappa)
+    regrow = np.exp(coeffs.alpha * x)
+    return (samples + coeffs.beta * x + coeffs.kappa) / regrow, regrow
 
 
 def adjustment_H(

@@ -452,7 +452,7 @@ def test_oversized_paths_request_is_a_config_error(capsys):
     rc = main(["paths", "--n", "10000000", "--style", "american"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert f"needs {(10**7 + 1) * 4097 * 24} bytes" in captured.err
+    assert f"needs {(10**7 + 1) * 4096 * 24} bytes" in captured.err
     assert "n=10000000, log2N=12" in captured.err
 
 

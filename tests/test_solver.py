@@ -66,28 +66,11 @@ def test_linear_terminal_is_a_martingale(small_grid):
         horizon=0.5, steps=10, terminal=lambda x: x, driver=_zero_driver
     )
     surface = solve(spec, small_grid)
-    xs = small_grid.space_nodes(include_right=True)
+    xs = small_grid.space_nodes()
     n0 = small_grid.N // 8
     interior = slice(n0, small_grid.N - n0)
     assert np.max(np.abs(surface.u[0, interior] - xs[interior])) <= 1e-10
     assert np.max(np.abs(surface.udot[0, interior] - 1.0)) <= 1e-10
-
-
-def test_solution_surface_shapes_and_wrap_column(small_grid):
-    spec = brownian_bsde(
-        horizon=0.5, steps=6, terminal=np.tanh, driver=_zero_driver
-    )
-    surface = solve(spec, small_grid)
-    n, N = spec.steps, small_grid.N
-    assert surface.u.shape == (n + 1, N + 1)
-    assert surface.udot.shape == (n + 1, N + 1)
-    assert surface.times.shape == (n + 1,)
-    assert surface.reflection is None
-    # last column duplicates the first by the periodic wrap
-    assert np.array_equal(surface.u[:, N], surface.u[:, 0])
-    assert np.array_equal(surface.udot[:, N], surface.udot[:, 0])
-    # terminal row holds the payoff on the honest nodes
-    assert np.array_equal(surface.u[n, :N], np.tanh(small_grid.space_nodes()))
 
 
 def test_gradient_tracks_space_derivative(small_grid):
@@ -131,10 +114,10 @@ def test_reflection_keeps_solution_above_barrier(small_grid):
     # the negative driver pulls the free solution below the payoff, so
     # the constraint must actually bind somewhere
     assert np.count_nonzero(reflected.reflection) > 0
-    assert np.min(reflected.u[:, : small_grid.N] - np.abs(xs)[None, :]) >= -1e-12
+    assert np.min(reflected.u - np.abs(xs)[None, :]) >= -1e-12
     assert np.min(reflected.u - free.u) >= -1e-12
     # terminal row carries no reflection increment
-    assert np.array_equal(reflected.reflection[-1], np.zeros(small_grid.N + 1))
+    assert np.array_equal(reflected.reflection[-1], np.zeros(small_grid.N))
 
 
 def test_barrier_above_terminal_payoff_is_rejected(small_grid):
@@ -345,8 +328,8 @@ def test_statedep_diagnostics_record_the_measured_residual():
         driver=lambda t, x, y, z: -0.1 * y,
     )
     (diag,) = solve(spec, grid, collect_diagnostics=True).diagnostics
-    eta = apply_transform(spec.terminal(grid.space_nodes()), grid, diag.coeffs)
     x = grid.space_nodes()
+    eta, _ = apply_transform(spec.terminal(x), x, diag.coeffs)
     measured = max(
         _full_complex_row_residual(
             eta,
@@ -436,19 +419,43 @@ def _localvol_spec(scheme):
     )
 
 
+def _surface_case(scheme, style):
+    """A (spec, grid) pair: a pricing problem or the local-vol toy."""
+    if style == "statedep":
+        return _localvol_spec(scheme), build_grid(0.0, 3.0, 6)
+    market = MarketParams(K=95.0, R=0.03, div=0.035, style=style)
+    spec = build_pricing_problem(market, 40, scheme)
+    return spec, build_grid(spec.x_init, 2.0, 8)
+
+
+@pytest.mark.parametrize("full_surface", [True, False], ids=["full", "start-row"])
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
+def test_every_surface_array_has_one_column_per_dft_node(scheme, style, full_surface):
+    # the solver computes x_0..x_{N-1} and stores nothing else: the
+    # right endpoint x_N only feeds the periodization fit
+    spec, grid = _surface_case(scheme, style)
+    surface = solve(spec, grid, full_surface=full_surface)
+    rows = spec.steps + 1 if full_surface else 1
+    assert surface.u.shape == surface.udot.shape == (rows, grid.N)
+    assert surface.times.shape == (rows,)
+    if style == STYLE_AMERICAN:
+        assert surface.reflection.shape == (rows, grid.N)
+    else:
+        assert surface.reflection is None
+    if full_surface:
+        x = grid.space_nodes()
+        assert np.array_equal(surface.u[-1], spec.terminal(x))
+        assert np.array_equal(surface.udot[-1], np.zeros(grid.N))
+
+
 @pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
 @pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
 def test_start_row_solve_is_row_zero_of_the_full_solve(scheme, style):
-    if style == "statedep":
-        spec = _localvol_spec(scheme)
-        grid = build_grid(0.0, 3.0, 6)
-    else:
-        market = MarketParams(K=95.0, R=0.03, div=0.035, style=style)
-        spec = build_pricing_problem(market, 40, scheme)
-        grid = build_grid(spec.x_init, 2.0, 8)
+    spec, grid = _surface_case(scheme, style)
     full = solve(spec, grid, collect_diagnostics=True)
     start = solve(spec, grid, collect_diagnostics=True, full_surface=False)
-    shape = (1, grid.N + 1)
+    shape = (1, grid.N)
     assert start.u.shape == start.udot.shape == shape
     assert np.array_equal(start.times, [0.0])
     assert np.array_equal(start.u[0], full.u[0])
@@ -466,7 +473,7 @@ def test_start_row_solve_is_row_zero_of_the_full_solve(scheme, style):
 
 def test_storage_cap_is_checked_before_allocating(small_grid, monkeypatch):
     reflected = _reflected_toy(lambda t, x: np.abs(x))  # 10 steps, 3 arrays
-    row_bytes = (small_grid.N + 1) * 8 * 3
+    row_bytes = small_grid.N * 8 * 3
     monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", 11 * row_bytes)
     solve(reflected, small_grid)
     solve(reflected, small_grid, full_surface=False)
@@ -480,7 +487,7 @@ def test_storage_cap_is_checked_before_allocating(small_grid, monkeypatch):
 
 
 def test_oversized_full_surface_fails_without_allocating():
-    # 10**7 + 1 rows of two 4097-node arrays would be 655 GB
+    # 10**7 + 1 rows of two 4096-node arrays would be 655 GB
     grid = build_grid(0.0, 5.0, 12)
     spec = brownian_bsde(1.0, 10**7, terminal=np.tanh, driver=_zero_driver)
     tracemalloc.start()
@@ -493,4 +500,26 @@ def test_oversized_full_surface_fails_without_allocating():
     assert peak < 2**20
     message = str(exc_info.value)
     assert "n=10000000, log2N=12" in message
-    assert f"needs {(10**7 + 1) * 4097 * 16} bytes" in message
+    assert f"needs {(10**7 + 1) * 4096 * 16} bytes" in message
+
+
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize(
+    "c, tol", [(1e-12, 1e-9), (1e-10, 1e-9), (1e-8, 1e-9), (1e-6, 1e-7), (1e-4, 1e-7)]
+)
+def test_nearly_tied_boundary_slopes_keep_the_solution_accurate(c, tol, scheme):
+    # terminal x + c*x^2 of a driver-free Brownian BSDE has the exact
+    # solution x + c*(x^2 + T - t) and a boundary slope gap of 4*c*5.
+    # Fitted by alpha/kappa, a gap of 2e-11 gives kappa near 2.5e13 and
+    # loses 9e-4 to cancellation; the linear-trend branch keeps the
+    # error at 4e-14.  c = 1e-6 and 1e-4 sit near and above the switch.
+    horizon = 1.0
+    spec = brownian_bsde(
+        horizon, 50, terminal=lambda x: x + c * x * x, driver=_zero_driver, scheme=scheme
+    )
+    grid = build_grid(0.0, 5.0, 10)
+    y0 = solve(spec, grid, full_surface=False).u[0]
+    x = grid.space_nodes()
+    exact = x + c * (x * x + horizon)
+    middle = slice(grid.N // 4, 3 * grid.N // 4)
+    assert np.max(np.abs(y0 - exact)[middle]) <= tol

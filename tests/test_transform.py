@@ -65,8 +65,9 @@ def test_linear_samples_take_degenerate_branch():
     assert c.alpha == 0.0
     assert c.kappa == 0.0
     assert c.beta == pytest.approx(3.0, rel=1e-14)
-    w = apply_transform(2.0 - 3.0 * xs, g, c)
+    w, regrow = apply_transform(2.0 - 3.0 * xs[:-1], xs[:-1], c)
     assert np.max(np.abs(w - 2.0)) <= 1e-12
+    assert np.array_equal(regrow, np.ones(g.N))
 
 
 @pytest.mark.parametrize(
@@ -100,7 +101,15 @@ def test_endpoint_matching_for_random_cubics(coeffs, center, half_width, log2N):
     c = fit_coefficients(samples, g)
     value_res, slope_res = _endpoint_residuals(samples, g, c)
     assert value_res <= 1e-8
-    assert slope_res <= 1e-8
+    if c.alpha == 0.0:
+        # the linear-trend branch leaves a slope gap within
+        # SLOPE_TIE_TOLERANCE * beta unmatched
+        slope_a = (samples[1] - samples[0]) / g.dx
+        slope_b = (samples[-1] - samples[-2]) / g.dx
+        steepest = max(abs(slope_a), abs(slope_b))
+        assert abs(slope_a - slope_b) <= SLOPE_TIE_TOLERANCE * (SLOPE_MARGIN + steepest)
+    else:
+        assert slope_res <= 1e-8
 
 
 def test_beta_dominates_boundary_slopes():
@@ -125,17 +134,40 @@ def test_fit_refuses_a_slope_that_rounds_the_margin_away():
             fit_coefficients(samples, g)
 
 
-def test_apply_transform_accepts_n_or_n_plus_one_samples():
+def test_apply_transform_takes_one_sample_per_dft_node():
     g = build_grid(0.0, 1.0, 5)
     xs = g.space_nodes(include_right=True)
     samples = np.sin(xs) + 2.0
     c = fit_coefficients(samples, g)
-    w_full = apply_transform(samples, g, c)
-    w_short = apply_transform(samples[:-1], g, c)
-    assert w_full.shape == (g.N,)
-    assert np.array_equal(w_full, w_short)
-    # matches the closed form on the DFT nodes
-    assert np.max(np.abs(w_full - _modified(samples[:-1], xs[:-1], c))) <= 1e-14
+    x = g.space_nodes()
+    w, regrow = apply_transform(samples[:-1], x, c)
+    assert w.shape == regrow.shape == (g.N,)
+    # matches the closed form on the DFT nodes, and regrow undoes the
+    # dampening
+    assert np.max(np.abs(w - _modified(samples[:-1], x, c))) <= 1e-14
+    assert np.max(np.abs(regrow - np.exp(c.alpha * x))) == 0.0
+    # the right-edge sample x_N is the fit's alone
+    with pytest.raises(ValueError, match="one value per DFT node"):
+        apply_transform(samples, x, c)
+
+
+def test_tie_branch_is_relative_to_beta():
+    # a slope gap just below SLOPE_TIE_TOLERANCE * beta takes the
+    # linear-trend branch, just above it the alpha/kappa fit, whatever
+    # the scale of the samples
+    g = build_grid(0.0, 5.0, 10)
+    xs = g.space_nodes(include_right=True)
+    reach = g.l - g.dx
+    for scale in (1.0, 1e6):
+        for factor, tied in ((0.9, True), (1.1, False)):
+            # under one-sided differences scale*(x + c*x^2) has boundary
+            # slopes scale*(1 -+ c*reach) on [-5, 5], so the gap is
+            # 2*scale*c*reach and beta = SLOPE_MARGIN + scale*(1 + c*reach);
+            # c puts their ratio at factor * SLOPE_TIE_TOLERANCE
+            ratio = factor * SLOPE_TIE_TOLERANCE
+            c = ratio * (SLOPE_MARGIN + scale) / (scale * reach * (2.0 - ratio))
+            coeffs = fit_coefficients(scale * (xs + c * xs * xs), g)
+            assert (coeffs.alpha == 0.0 and coeffs.kappa == 0.0) == tied
 
 
 def test_fit_rejects_bad_input():
@@ -151,11 +183,12 @@ def test_fit_rejects_bad_input():
 def test_apply_rejects_bad_input():
     g = build_grid(0.0, 1.0, 5)
     c = TransformCoefficients(alpha=0.1, beta=1.0, kappa=0.5)
+    x = g.space_nodes()
     with pytest.raises(ValueError):
-        apply_transform(np.zeros(g.N - 1), g, c)
+        apply_transform(np.zeros(g.N - 1), x, c)
     bad = TransformCoefficients(alpha=np.nan, beta=1.0, kappa=0.5)
     with pytest.raises(ValueError):
-        apply_transform(np.zeros(g.N), g, bad)
+        apply_transform(np.zeros(g.N), x, bad)
 
 
 def test_adjustment_closed_forms():
@@ -181,5 +214,5 @@ def test_adjustment_rejects_unknown_kind():
 
 
 def test_tie_tolerance_constant():
-    assert SLOPE_TIE_TOLERANCE == 1e-12
+    assert SLOPE_TIE_TOLERANCE == 5e-6
     assert SLOPE_MARGIN == 5.0
