@@ -41,7 +41,6 @@ from .spectral import (
     IMAG_RESIDUAL_TOLERANCE,
     ImaginaryResidualError,
     IncrementSpectrum,
-    PsiKind,
     convolve_step,
     convolve_step_statedep,
     dft,
@@ -94,7 +93,6 @@ __all__ = [
     "IMAG_RESIDUAL_TOLERANCE",
     "ImaginaryResidualError",
     "IncrementSpectrum",
-    "PsiKind",
     "convolve_step",
     "convolve_step_statedep",
     "dft",

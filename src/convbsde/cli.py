@@ -357,10 +357,16 @@ def cmd_error_surface(config: RunConfig) -> int:
         ["x", "abs_err_price", "abs_err_delta", "log10_abs_err_price", "log10_abs_err_delta"],
         rows,
     )
-    interior = err_price[x.size // 4 : 3 * x.size // 4]
+    # the truncated domain's boundary error lives at the edge nodes, so
+    # the headline is the interior a price is read from
+    lo, hi = x.size // 4, 3 * x.size // 4
+    interior = err_price[lo:hi]
+    worst = int(np.argmax(err_price))
     print(
-        f"max error {err_price.max():.3e} interior median {np.median(interior):.3e}"
+        f"interior (nodes {lo}..{hi - 1}) max error {interior.max():.3e} "
+        f"median {np.median(interior):.3e}"
     )
+    print(f"overall max error {err_price[worst]:.3e} at x={x[worst]:.4f}")
     print(f"wrote {out}")
     return 0
 

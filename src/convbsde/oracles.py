@@ -3,7 +3,8 @@
 Nothing here shares code with the spectral solver: the closed form, the
 tree and the brute-force quadrature are deliberately separate paths to
 the same quantities, so agreement between them and the solver carries
-evidential weight.
+evidential weight.  The quadrature step takes its increment law as
+plain numbers and imports nothing from :mod:`convbsde.spectral`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPair
-from .spectral import PsiKind
 from .transform import EXPECTATION, GRADIENT
 
 
@@ -116,7 +116,14 @@ def binomial_bsde(params, n: int, reflected: bool) -> tuple[float, float]:
 
 
 def dense_quadrature_step(
-    eta_samples, grid: GridPair, psi_kind: PsiKind, quad_points: int
+    eta_samples,
+    grid: GridPair,
+    step: float,
+    drift: float,
+    vol: float,
+    alpha: float,
+    kind: str,
+    quad_points: int,
 ) -> np.ndarray:
     """Brute-force real-space evaluation of one convolution step.
 
@@ -125,11 +132,12 @@ def dense_quadrature_step(
         theta(x_k) = integral over [x0, xN] of eta(y) * Kpsi(y - x_k) dy
 
     by a composite trapezoid rule with ``quad_points`` points.  Kpsi is
-    the real-space counterpart of the frequency multiplier: the Gaussian
-    increment density shifted by drift*step, tilted by exp(alpha*w)
-    (which is what evaluating the characteristic function at nu-i*alpha
-    does), and for the gradient kind additionally weighted by the
-    normalized increment (w - drift*step)/(vol*step).
+    the real-space counterpart of the frequency multiplier of ``kind``
+    (EXPECTATION or GRADIENT): the Gaussian density of an increment
+    with mean drift*step and variance vol^2*step, tilted by
+    exp(alpha*w) (which is what evaluating the characteristic function
+    at nu-i*alpha does), and for the gradient kind additionally weighted
+    by the normalized increment (w - drift*step)/(vol*step).
 
     ``eta_samples`` is either a node-sample vector (length N or N+1,
     linearly interpolated between nodes) or a callable evaluated
@@ -157,9 +165,8 @@ def dense_quadrature_step(
             raise ValueError(f"eta_samples must have length {grid.N} or {grid.N + 1}")
         ey = np.interp(y, nodes, eta_samples)
 
-    alpha = psi_kind.alpha
-    mean = psi_kind.drift * psi_kind.step
-    var = psi_kind.vol**2 * psi_kind.step
+    mean = drift * step
+    var = vol**2 * step
     weighted = wq * ey
     out = np.empty(grid.N)
     x_nodes = grid.space_nodes()
@@ -171,9 +178,9 @@ def dense_quadrature_step(
         kernel = np.exp(alpha * w - centered**2 / (2.0 * var)) / np.sqrt(
             2.0 * np.pi * var
         )
-        if psi_kind.tag == GRADIENT:
-            kernel *= centered / (psi_kind.vol * psi_kind.step)
-        elif psi_kind.tag != EXPECTATION:
-            raise ValueError(f"unknown psi tag: {psi_kind.tag!r}")
+        if kind == GRADIENT:
+            kernel *= centered / (vol * step)
+        elif kind != EXPECTATION:
+            raise ValueError(f"unknown psi tag: {kind!r}")
         out[start : start + chunk] = kernel @ weighted
     return out

@@ -20,7 +20,7 @@ from .model import EXPLICIT_I, EXPLICIT_II, ProblemSpec, SolutionSurface
 from .spectral import (
     ImaginaryResidualError,
     IncrementSpectrum,
-    PsiKind,
+    convolve_step,
     convolve_step_statedep,
 )
 from .transform import (
@@ -175,9 +175,11 @@ def solve(
 
         Scalar a and s share one increment spectrum, built again only
         when they change, and all requested kinds take one real FFT
-        pair; per-node arrays take the row-wise step once per kind.
-        Returns the recovered node values for each requested kind, the
-        fitted coefficients and the largest imaginary residual seen.
+        pair; per-node arrays take the row-wise step, which shares phi
+        across the kinds.  Both kernels are looked up through this
+        module's globals, where perfbench wraps them by name.  Returns
+        the recovered node values for each requested kind, the fitted
+        coefficients and the largest imaginary residual seen.
         """
         nonlocal law
         coeffs = fit_coefficients(values, grid)
@@ -185,12 +187,9 @@ def solve(
         if np.ndim(a) == np.ndim(s) == 0:
             if law is None or (law.drift, law.vol) != (a, s):
                 law = IncrementSpectrum(grid, dt, a, s)
-            results = law.convolve(eta, coeffs.alpha, kinds)
+            results = convolve_step(eta, law, coeffs.alpha, kinds)
         else:
-            results = [
-                convolve_step_statedep(eta, grid, PsiKind(kind, coeffs.alpha, dt, a, s))
-                for kind in kinds
-            ]
+            results = convolve_step_statedep(eta, grid, dt, a, s, coeffs.alpha, kinds)
         outputs = [
             regrow * theta
             - adjustment_H(x, coeffs, kind, forward_drift=a * dt, forward_vol=s)

@@ -20,16 +20,19 @@ the whole solve and a part that follows the fitted alpha,
                                 * exp(i*step*vol^2*alpha*nu),
 
 and the gradient multiplier is vol*(alpha + i*nu) times the expectation
-one.  ``IncrementSpectrum`` keeps phi(nu), so a step takes one rfft of
-its samples and one stacked irfft for all requested kinds.
+one.  Both kernels take every requested kind in one call, build each
+kind's multiplier from phi(nu - i*alpha) by the same rule, and return
+one ``(theta, residual)`` per kind.  ``convolve_step`` reads phi(nu)
+from an ``IncrementSpectrum`` kept across a solve's steps, so a step
+takes one rfft of its samples and one stacked irfft for all kinds.
+``convolve_step_statedep`` evaluates each node's phi(nu - i*alpha) once
+per block of rows and shares it across the kinds.
 
 ``dft`` and ``idft`` state the DFT convention: the forward transform
 carries the 1/N factor, the inverse none.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,36 +89,25 @@ def increment_cf(nu, step: float, drift, vol):
     return out if out.ndim else complex(out)
 
 
-@dataclass(frozen=True)
-class PsiKind:
-    """Frequency multiplier of one convolution step.
+def _kind_rows(expectation, i_nu, alpha, vol, kinds) -> np.ndarray:
+    """The psi multiplier of each kind, stacked on a new leading axis.
 
-    tag "expectation" computes the conditional expectation of the next
-    solution values: psi(nu) = phi(nu - i*alpha).  tag "gradient"
-    computes the martingale-increment functional estimating
-    vol * d/dx of that expectation: psi(nu) = vol*(alpha + i*nu) *
-    phi(nu - i*alpha).  Here phi is ``increment_cf`` for the step and
-    alpha the dampening exponent of the periodization transform.
-
-    drift and vol are scalars for ``convolve_step``.  For
-    ``convolve_step_statedep`` either may also be a length-N array
-    holding the coefficient frozen at each space node.
+    ``expectation`` holds psi_E = phi(nu - i*alpha) with phi the
+    step's ``increment_cf`` and ``i_nu`` the frequencies times i; row j
+    is psi_E for an EXPECTATION tag and psi_Z = vol*(alpha + i*nu)*psi_E
+    for a GRADIENT tag, the martingale-increment functional estimating
+    vol * d/dx of the expectation.  vol is a scalar or a column
+    broadcasting against ``expectation``.
     """
-
-    tag: str
-    alpha: float
-    step: float
-    drift: float | np.ndarray = 0.0
-    vol: float | np.ndarray = 1.0
-
-    def values(self, nu: np.ndarray) -> np.ndarray:
-        """Evaluate the multiplier on the frequency nodes."""
-        phi = increment_cf(nu - 1j * self.alpha, self.step, self.drift, self.vol)
-        if self.tag == EXPECTATION:
-            return phi
-        if self.tag == GRADIENT:
-            return self.vol * (self.alpha + 1j * np.asarray(nu)) * phi
-        raise ValueError(f"unknown psi tag: {self.tag!r}")
+    rows = np.empty((len(kinds),) + expectation.shape, dtype=complex)
+    for row, kind in zip(rows, kinds):
+        if kind == EXPECTATION:
+            row[...] = expectation
+        elif kind == GRADIENT:
+            np.multiply(vol * (alpha + i_nu), expectation, out=row)
+        else:
+            raise ValueError(f"unknown psi tag: {kind!r}")
+    return rows
 
 
 def _check_eta(eta, grid: GridPair) -> np.ndarray:
@@ -167,7 +159,7 @@ class IncrementSpectrum:
         self.vol = float(vol)
         nu = grid.frequencies()
         self._phi = increment_cf(nu, step, self.drift, self.vol)
-        self._i_vol_nu = 1j * self.vol * nu
+        self._i_nu = 1j * nu
         fine = int(np.ceil(np.sqrt(nu.size)))
         self._fine = np.arange(fine, dtype=float)
         self._coarse = fine * np.arange(-(-nu.size // fine), dtype=float)
@@ -175,10 +167,9 @@ class IncrementSpectrum:
     def multipliers(self, alpha: float, kinds) -> np.ndarray:
         """The psi multiplier of each kind on the frequency nodes.
 
-        Row j holds ``PsiKind(kinds[j], alpha, step, drift, vol).values``
-        at nu_m, m = 0..N/2, built from the cached phi(nu): the
-        expectation row is phi(nu - i*alpha), the gradient row
-        vol*(alpha + i*nu) times it.
+        Row j holds kind ``kinds[j]`` at nu_m, m = 0..N/2, built from
+        the cached phi(nu): the expectation row is phi(nu - i*alpha),
+        the gradient row vol*(alpha + i*nu) times it.
         """
         rate = self.step * self.vol**2 * alpha * self.grid.dnu
         scale = self.step * alpha * (self.drift + 0.5 * self.vol**2 * alpha)
@@ -186,89 +177,73 @@ class IncrementSpectrum:
         fine = np.exp(1j * rate * self._fine)
         expectation = np.multiply.outer(coarse, fine).ravel()[: self._phi.size]
         expectation *= self._phi
-        rows = np.empty((len(kinds), expectation.size), dtype=complex)
-        for row, kind in zip(rows, kinds):
-            if kind == EXPECTATION:
-                row[:] = expectation
-            elif kind == GRADIENT:
-                np.multiply(self.vol * alpha + self._i_vol_nu, expectation, out=row)
-            else:
-                raise ValueError(f"unknown psi tag: {kind!r}")
-        return rows
-
-    def convolve(self, eta: np.ndarray, alpha: float, kinds):
-        """Convolve transformed samples once for each requested kind.
-
-        ``eta`` is the first output of ``apply_transform`` for dampening
-        exponent ``alpha``, length N; ``kinds`` holds EXPECTATION and/or
-        GRADIENT tags.  One rfft of eta feeds every kind and one irfft
-        of the stacked products returns them all.  Returns a list with
-        one ``(theta, residual)`` per kind, as ``convolve_step`` does.
-
-        Raises
-        ------
-        ImaginaryResidualError
-            If a residual exceeds ``IMAG_RESIDUAL_TOLERANCE``.
-        """
-        eta = _check_eta(eta, self.grid)
-        products = self.multipliers(alpha, kinds)
-        products *= np.fft.rfft(eta)
-        thetas = np.fft.irfft(products, self.grid.N)
-        return [
-            _guard(theta, abs(row[-1].imag), self.grid.N)
-            for theta, row in zip(thetas, products)
-        ]
+        return _kind_rows(expectation, self._i_nu, alpha, self.vol, kinds)
 
 
-def convolve_step(eta: np.ndarray, grid: GridPair, psi: PsiKind):
-    """Convolve transformed samples against the psi multiplier.
+def convolve_step(eta: np.ndarray, spectrum: IncrementSpectrum, alpha: float, kinds):
+    """Convolve transformed samples once for each requested kind.
 
-    ``eta`` must already be periodized and dampened (the first output
-    of ``apply_transform``), length N, and psi's drift and vol scalars.
-    Returns ``(theta, residual)``: theta at the nodes x_0..x_{N-1} and
-    the relative imaginary residual that was discarded.  A solve keeps one
-    ``IncrementSpectrum`` across its steps instead.
+    ``eta`` is the first output of ``apply_transform`` for dampening
+    exponent ``alpha``, length N; ``spectrum`` holds the step's
+    constant-coefficient increment law; ``kinds`` holds EXPECTATION
+    and/or GRADIENT tags.  One rfft of eta feeds every kind and one
+    irfft of the stacked products returns them all.  Returns a list
+    with one ``(theta, residual)`` per kind: theta at the nodes
+    x_0..x_{N-1} and the relative imaginary residual that was
+    discarded.
 
     Raises
     ------
     ImaginaryResidualError
-        If that residual exceeds ``IMAG_RESIDUAL_TOLERANCE``.
+        If a residual exceeds ``IMAG_RESIDUAL_TOLERANCE``.
     """
-    law = IncrementSpectrum(grid, psi.step, psi.drift, psi.vol)
-    (result,) = law.convolve(eta, psi.alpha, (psi.tag,))
-    return result
+    N = spectrum.grid.N
+    eta = _check_eta(eta, spectrum.grid)
+    products = spectrum.multipliers(alpha, kinds)
+    products *= np.fft.rfft(eta)
+    thetas = np.fft.irfft(products, N)
+    return [_guard(theta, abs(row[-1].imag), N) for theta, row in zip(thetas, products)]
 
 
-def convolve_step_statedep(eta: np.ndarray, grid: GridPair, psi: PsiKind):
+def convolve_step_statedep(
+    eta: np.ndarray, grid: GridPair, step: float, drift, vol, alpha: float, kinds
+):
     """Convolution step whose drift and vol may differ per space node.
 
     Needed when drift or vol depend on the state: node x_k then carries
     its own increment law, frozen at the conditioning point, and the
-    inverse FFT no longer applies.  psi's drift and vol are scalars or
-    length-N arrays (entry k belongs to node x_k); tag, alpha and step
-    are shared by every row.  Row k is the real-FFT formula summed out,
-    theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N) psi_k(nu_m) F_m) with
-    F = rfft(eta) and c = 1, 2, ..., 2, 1, in blocks of rows.  Returns
-    ``(theta, residual)`` like ``convolve_step``; the residual guard
-    takes the largest per-row Nyquist term.
+    inverse FFT no longer applies.  drift and vol are scalars or
+    length-N arrays (entry k belongs to node x_k); step, alpha and the
+    kinds are shared by every row.  Row k is the real-FFT formula
+    summed out, theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N)
+    psi_k(nu_m) F_m) with F = rfft(eta) and c = 1, 2, ..., 2, 1, in
+    blocks of rows; each block evaluates phi_k(nu - i*alpha) once for
+    all kinds.  Returns one ``(theta, residual)`` per kind like
+    ``convolve_step``; each kind's residual guard takes its largest
+    per-row Nyquist term.
     """
     eta = _check_eta(eta, grid)
     N = grid.N
-    drift = _per_row(psi.drift, N)
-    vol = _per_row(psi.vol, N)
+    drift = _per_row(drift, N)
+    vol = _per_row(vol, N)
 
     nu = grid.frequencies()
-    spectrum = np.fft.rfft(eta)
+    shifted = nu - 1j * alpha
+    i_nu = 1j * nu
+    eta_hat = np.fft.rfft(eta)
     pair_count = np.full(nu.size, 2.0)
     pair_count[[0, -1]] = 1.0
     m = np.arange(nu.size)
     roots = np.exp((2j * np.pi / N) * np.arange(N))
-    theta = np.empty(N)
-    nyquist_imag = np.empty(N)
+    thetas = np.empty((len(kinds), N))
+    nyquist_imag = np.empty((len(kinds), N))
     for start in range(0, N, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         k = np.arange(start, min(start + _ROW_BLOCK, N))[:, None]
-        block = replace(psi, drift=drift[rows], vol=vol[rows]).values(nu) * spectrum
-        theta[rows] = (roots[(k * m) % N] * block).real @ pair_count / N
-        nyquist_imag[rows] = np.abs(block[:, -1].imag)
-    return _guard(theta, float(np.max(nyquist_imag)), N)
+        expectation = increment_cf(shifted, step, drift[rows], vol[rows])
+        block = _kind_rows(expectation, i_nu, alpha, vol[rows], kinds) * eta_hat
+        thetas[:, rows] = (roots[(k * m) % N] * block).real @ pair_count / N
+        nyquist_imag[:, rows] = np.abs(block[..., -1].imag)
+    return [
+        _guard(theta, float(np.max(imag)), N) for theta, imag in zip(thetas, nyquist_imag)
+    ]

@@ -22,8 +22,8 @@ from convbsde import (
     EXPLICIT_I,
     EXPLICIT_II,
     GRADIENT,
+    IncrementSpectrum,
     MarketParams,
-    PsiKind,
     STYLE_AMERICAN,
     STYLE_EUROPEAN,
     binomial_bsde,
@@ -210,12 +210,12 @@ def test_criterion_7_property_suite(tmp_path):
     gq = build_grid(0.0, 4.0, 8)
     xq = gq.space_nodes()
     interior = slice(gq.N // 8, gq.N - gq.N // 8)
+    law = IncrementSpectrum(gq, 0.05, 0.1, 1.0)
     for alpha in (0.0, 0.3):
         for kind in (EXPECTATION, GRADIENT):
-            psi = PsiKind(kind, alpha, step=0.05, drift=0.1, vol=1.0)
-            theta, _ = convolve_step(np.exp(-(xq**2)), gq, psi)
+            ((theta, _),) = convolve_step(np.exp(-(xq**2)), law, alpha, (kind,))
             dense = dense_quadrature_step(
-                lambda y: np.exp(-(y**2)), gq, psi, 10 * gq.N
+                lambda y: np.exp(-(y**2)), gq, 0.05, 0.1, 1.0, alpha, kind, 10 * gq.N
             )
             assert np.max(np.abs(theta - dense)[interior]) <= 1e-5
 
@@ -259,9 +259,9 @@ def test_criterion_7_property_suite(tmp_path):
     g7 = build_grid(1.0, 2.0, 7)
     x7 = g7.space_nodes()
     eta7 = np.maximum(np.exp(x7) - 2.0, 0.0)
-    psi7 = PsiKind(EXPECTATION, 0.15, step=0.02, drift=0.05, vol=0.8)
-    fast, _ = convolve_step(eta7, g7, psi7)
-    slow, _ = convolve_step_statedep(eta7, g7, psi7)
+    law7 = (0.02, 0.05, 0.8)
+    ((fast, _),) = convolve_step(eta7, IncrementSpectrum(g7, *law7), 0.15, (EXPECTATION,))
+    ((slow, _),) = convolve_step_statedep(eta7, g7, *law7, 0.15, (EXPECTATION,))
     assert np.max(np.abs(fast - slow)) <= 1e-10
 
     # (g) seeded scenario CSVs are byte-identical

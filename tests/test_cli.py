@@ -554,7 +554,19 @@ def test_error_surface_writes_node_errors(tmp_path, capsys):
     mid = len(rows) // 2
     assert errs[mid] <= 1e-2  # at-the-money node is accurate
     assert np.max(errs) >= 10.0 * errs[mid]  # edges are not
-    assert "wrote" in capsys.readouterr().out
+    # the headline reports nodes N/4..3N/4, not the boundary error
+    interior = errs[len(rows) // 4 : 3 * len(rows) // 4]
+    out = capsys.readouterr().out
+    headline = re.search(
+        r"interior \(nodes 1024\.\.3071\) max error (\S+) median (\S+)\n", out
+    )
+    assert float(headline[1]) == pytest.approx(interior.max(), rel=1e-3)
+    assert float(headline[2]) == pytest.approx(np.median(interior), rel=1e-3)
+    worst = int(np.argmax(errs))
+    overall = re.search(r"overall max error (\S+) at x=(\S+)\n", out)
+    assert float(overall[1]) == pytest.approx(errs[worst], rel=1e-3)
+    assert float(overall[2]) == pytest.approx(float(rows[worst]["x"]), abs=1e-4)
+    assert "wrote" in out
 
 
 def test_error_surface_requires_closed_form(capsys):

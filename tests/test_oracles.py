@@ -1,5 +1,8 @@
 """Tests for the closed-form, tree and quadrature reference implementations."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,13 @@ from scipy.stats import norm
 from convbsde import (
     EXPECTATION,
     MarketParams,
-    PsiKind,
     binomial_bsde,
     black_scholes_call,
     build_grid,
     dense_quadrature_step,
 )
+import convbsde.oracles as oracles_module
+import convbsde.spectral as spectral_module
 from convbsde.oracles import black_scholes_call_curve, normal_cdf
 
 # 95% Monte-Carlo band for the ATM unequal-rates market (R=0.03, r=0.01)
@@ -167,22 +171,42 @@ def test_binomial_validates_step_count():
 
 def test_dense_quadrature_requires_enough_points():
     g = build_grid(0.0, 1.0, 5)
-    psi = PsiKind(EXPECTATION, 0.0, step=0.05, drift=0.0, vol=1.0)
     with pytest.raises(ValueError):
-        dense_quadrature_step(np.zeros(g.N), g, psi, 10 * g.N - 1)
+        dense_quadrature_step(np.zeros(g.N), g, 0.05, 0.0, 1.0, 0.0, EXPECTATION, 10 * g.N - 1)
 
 
 def test_dense_quadrature_accepts_samples_or_callable():
     g = build_grid(0.0, 2.0, 6)
     x = g.space_nodes(include_right=True)
     fun = lambda y: np.exp(-((y - 0.3) ** 2))
-    psi = PsiKind(EXPECTATION, 0.1, step=0.05, drift=0.0, vol=1.0)
-    from_callable = dense_quadrature_step(fun, g, psi, 10 * g.N)
-    from_full = dense_quadrature_step(fun(x), g, psi, 10 * g.N)
-    from_short = dense_quadrature_step(fun(x[:-1]), g, psi, 10 * g.N)
+    law = (0.05, 0.0, 1.0, 0.1, EXPECTATION, 10 * g.N)
+    from_callable = dense_quadrature_step(fun, g, *law)
+    from_full = dense_quadrature_step(fun(x), g, *law)
+    from_short = dense_quadrature_step(fun(x[:-1]), g, *law)
     assert from_callable.shape == (g.N,)
     # sampled paths interpolate linearly between nodes (the short form
     # also extends flat past its last node), so the three variants agree
     # only to interpolation accuracy
     assert np.max(np.abs(from_full - from_short)) <= 2e-3
     assert np.max(np.abs(from_callable - from_full)) <= 2e-3
+
+
+def test_oracles_take_nothing_from_the_spectral_solver():
+    # agreement with the spectral step is evidence only if the
+    # quadrature oracle is not built from it
+    tree = ast.parse(inspect.getsource(oracles_module))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert not [name for name in imported if name and name.split(".")[-1] == "spectral"]
+    bound = [
+        name
+        for name, value in vars(oracles_module).items()
+        if value is spectral_module
+        or getattr(value, "__module__", None) == spectral_module.__name__
+    ]
+    assert bound == []

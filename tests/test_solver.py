@@ -17,9 +17,7 @@ from convbsde import (
     GRADIENT,
     STYLE_AMERICAN,
     STYLE_EUROPEAN,
-    IncrementSpectrum,
     MarketParams,
-    PsiKind,
     SolveAborted,
     apply_transform,
     brownian_bsde,
@@ -27,6 +25,7 @@ from convbsde import (
     build_pricing_problem,
     dft,
     fbsde,
+    increment_cf,
     solve,
     value_at_start,
 )
@@ -252,23 +251,19 @@ def test_each_step_picks_its_convolution_from_the_node_coefficients(
     # drift and vol sampled on the nodes decide the step: one value at
     # every node takes the shared-spectrum convolution, anything else
     # the per-node one; nothing is declared on the spec.  Each entry
-    # point counts the convolutions (kinds) it computes.
+    # point, looked up through the solver's module globals, counts the
+    # convolutions (kinds) it computes.
     calls = Counter()
-    shared = IncrementSpectrum.convolve
+    for name in ("convolve_step", "convolve_step_statedep"):
 
-    def counted_shared(self, eta, alpha, kinds):
-        calls["IncrementSpectrum.convolve"] += len(kinds)
-        return shared(self, eta, alpha, kinds)
+        def counted(*args, _name=name, _fn=getattr(solver_module, name)):
+            calls[_name] += len(args[-1])
+            return _fn(*args)
 
-    def counted_statedep(*args, _fn=solver_module.convolve_step_statedep):
-        calls["convolve_step_statedep"] += 1
-        return _fn(*args)
-
-    monkeypatch.setattr(IncrementSpectrum, "convolve", counted_shared)
-    monkeypatch.setattr(solver_module, "convolve_step_statedep", counted_statedep)
+        monkeypatch.setattr(solver_module, name, counted)
     spec = dataclasses.replace(_selection_spec(case), scheme=scheme)
     solve(spec, build_grid(spec.x_init, 2.0, 7))
-    taken = "IncrementSpectrum.convolve" if fast else "convolve_step_statedep"
+    taken = "convolve_step" if fast else "convolve_step_statedep"
     assert calls == {taken: 2 * spec.steps}
 
 
@@ -291,24 +286,44 @@ def test_constant_path_evaluates_the_increment_law_once_per_coefficient_pair(
     assert calls == {"increment_cf": builds}
 
 
-def _full_complex_row_residual(eta, grid, psi_per_node):
+def test_per_node_step_evaluates_the_increment_law_once_per_row_block(monkeypatch):
+    # explicit2 asks for the expectation and the gradient in one call,
+    # and each block of 16 rows evaluates phi(nu - i*alpha) once for both
+    calls = Counter()
+    cf = spectral_module.increment_cf
+
+    def counted(*args):
+        calls["increment_cf"] += 1
+        return cf(*args)
+
+    monkeypatch.setattr(spectral_module, "increment_cf", counted)
+    spec = _selection_spec("local-vol")
+    assert spec.scheme == EXPLICIT_II
+    grid = build_grid(spec.x_init, 2.0, 7)
+    solve(spec, grid)
+    assert calls == {"increment_cf": spec.steps * -(-grid.N // 16)}
+
+
+def _full_complex_row_residual(eta, grid, laws):
     """Measured imaginary residual of the state-dependent step.
 
-    Each row is summed over the full complex DFT on the centered
-    frequency nodes nu_j = (j - N/2)*dnu, j = 0..N-1; the axis starts at
-    -N*dnu/2, which the alternating signs account for.
+    ``laws`` holds one (step, drift, vol, alpha, kind) per node.  Each
+    row is summed over the full complex DFT on the centered frequency
+    nodes nu_j = (j - N/2)*dnu, j = 0..N-1; the axis starts at -N*dnu/2,
+    which the alternating signs account for.
     """
     N = grid.N
     signs = 1.0 - 2.0 * (np.arange(N) % 2)
     nu = grid.dnu * (np.arange(N) - N // 2)
     spectrum = dft(signs * eta)
     j = np.arange(N)
-    theta = np.array(
-        [
-            signs[k] * np.dot(np.exp((2j * np.pi * k / N) * j), psi.values(nu) * spectrum)
-            for k, psi in enumerate(psi_per_node)
-        ]
-    )
+    rows = []
+    for k, (step, drift, vol, alpha, kind) in enumerate(laws):
+        psi = increment_cf(nu - 1j * alpha, step, drift, vol)
+        if kind == GRADIENT:
+            psi = vol * (alpha + 1j * nu) * psi
+        rows.append(signs[k] * np.dot(np.exp((2j * np.pi * k / N) * j), psi * spectrum))
+    theta = np.array(rows)
     return np.max(np.abs(theta.imag)) / np.max(np.abs(theta.real))
 
 
@@ -335,7 +350,7 @@ def test_statedep_diagnostics_record_the_measured_residual():
             eta,
             grid,
             [
-                PsiKind(kind, diag.coeffs.alpha, spec.step_size, drift(0.0, xk), vol(0.0, xk))
+                (spec.step_size, drift(0.0, xk), vol(0.0, xk), diag.coeffs.alpha, kind)
                 for xk in x
             ],
         )

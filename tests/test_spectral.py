@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import convbsde.spectral as spectral_module
 from convbsde import (
     EXPECTATION,
     GRADIENT,
     IMAG_RESIDUAL_TOLERANCE,
     ImaginaryResidualError,
     IncrementSpectrum,
-    PsiKind,
     build_grid,
     convolve_step,
     convolve_step_statedep,
@@ -66,18 +66,36 @@ def test_increment_cf_rejects_bad_parameters():
         increment_cf(0.0, step=1.0, drift=0.0, vol=0.0)
 
 
+def _psi(nu, step, drift, vol, alpha, kind):
+    """The multiplier of one kind, written out from increment_cf."""
+    phi = increment_cf(nu - 1j * alpha, step, drift, vol)
+    return phi if kind == EXPECTATION else vol * (alpha + 1j * nu) * phi
+
+
+def _constant_step(eta, grid, step, drift, vol, alpha, kinds):
+    """The constant-coefficient kernel with the per-node kernel's inputs."""
+    return convolve_step(eta, IncrementSpectrum(grid, step, drift, vol), alpha, kinds)
+
+
+def _one_kind(eta, grid, step, drift, vol, alpha, kind):
+    """(theta, residual) of a single-kind constant-coefficient step."""
+    (result,) = _constant_step(eta, grid, step, drift, vol, alpha, (kind,))
+    return result
+
+
 def test_psi_values_compose_increment_cf():
     g = build_grid(0.0, 2.0, 6)
     nu = g.dnu * (np.arange(g.N) - g.N // 2)
     alpha, step, drift, vol = 0.3, 0.05, 0.1, 0.8
     shifted = increment_cf(nu - 1j * alpha, step, drift, vol)
-    psi_e = PsiKind(EXPECTATION, alpha, step, drift, vol)
-    psi_g = PsiKind(GRADIENT, alpha, step, drift, vol)
-    assert np.max(np.abs(psi_e.values(nu) - shifted)) <= 1e-14
-    assert np.max(np.abs(psi_g.values(nu) - vol * (alpha + 1j * nu) * shifted)) <= 1e-12
+    psi_e, psi_g = spectral_module._kind_rows(
+        shifted, 1j * nu, alpha, vol, (EXPECTATION, GRADIENT)
+    )
+    assert np.max(np.abs(psi_e - shifted)) <= 1e-14
+    assert np.max(np.abs(psi_g - vol * (alpha + 1j * nu) * shifted)) <= 1e-12
 
 
-def _full_complex_convolution(eta, grid, psi):
+def _full_complex_convolution(eta, grid, step, drift, vol, alpha, kind):
     """Reference: complex DFT pair over the centered frequency nodes
     nu_j = (j - N/2)*dnu, j = 0..N-1.
 
@@ -86,7 +104,8 @@ def _full_complex_convolution(eta, grid, psi):
     """
     signs = 1.0 - 2.0 * (np.arange(grid.N) % 2)
     nu = grid.dnu * (np.arange(grid.N) - grid.N // 2)
-    theta_c = signs * idft(psi.values(nu) * dft(signs * eta))
+    psi = _psi(nu, step, drift, vol, alpha, kind)
+    theta_c = signs * idft(psi * dft(signs * eta))
     max_re = max(float(np.max(np.abs(theta_c.real))), 1e-300)
     return theta_c.real, float(np.max(np.abs(theta_c.imag))) / max_re
 
@@ -105,10 +124,9 @@ def test_real_fft_step_matches_full_complex_formula(log2N, alpha, drift, vol, ki
     # its closed-form Nyquist residual is the imaginary part it drops
     g = build_grid(0.0, 2.0, log2N)
     eta = np.random.default_rng(seed).standard_normal(g.N)
-    psi = PsiKind(kind, alpha, 0.01, drift, vol)
-    reference, measured = _full_complex_convolution(eta, g, psi)
+    reference, measured = _full_complex_convolution(eta, g, 0.01, drift, vol, alpha, kind)
     try:
-        theta, residual = convolve_step(eta, g, psi)
+        theta, residual = _one_kind(eta, g, 0.01, drift, vol, alpha, kind)
     except ImaginaryResidualError as exc:
         residual = exc.residual
         assert measured > IMAG_RESIDUAL_TOLERANCE * (1 - 1e-2)
@@ -143,18 +161,22 @@ def test_cached_spectrum_factors_the_dampened_multiplier(
     nu = g.frequencies()
     rows = IncrementSpectrum(g, step, drift, vol).multipliers(alpha, (EXPECTATION, GRADIENT))
     for row, kind in zip(rows, (EXPECTATION, GRADIENT)):
-        direct = PsiKind(kind, alpha, step, drift, vol).values(nu)
+        direct = _psi(nu, step, drift, vol, alpha, kind)
         assert np.max(np.abs(row - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
-def _standalone(eta, grid, psi):
-    """convolve_step's (theta, residual), or the residual it raised."""
+def _standalone(kernel, eta, grid, step, drift, vol, alpha, kind):
+    """A single-kind call's (theta, residual), or the residual it raised."""
     try:
-        return convolve_step(eta, grid, psi)
+        (result,) = kernel(eta, grid, step, drift, vol, alpha, (kind,))
+        return result
     except ImaginaryResidualError as exc:
         return exc.residual
 
 
+@pytest.mark.parametrize(
+    "kernel", [_constant_step, convolve_step_statedep], ids=["constant", "per-node"]
+)
 @given(
     **_STEP_LAWS,
     kinds=st.sampled_from(
@@ -168,24 +190,27 @@ def _standalone(eta, grid, psi):
          kinds=(EXPECTATION, GRADIENT), seed=2)
 @settings(max_examples=80, deadline=None)
 def test_stacked_rows_match_standalone_convolutions(
-    log2N, half_width, step, drift, vol, alpha, kinds, seed
+    kernel, log2N, half_width, step, drift, vol, alpha, kinds, seed
 ):
-    # one rfft and one stacked irfft give each kind the theta and the
-    # residual of its own convolve_step call, or raise the first
-    # residual a standalone call raises
+    # one call for all kinds gives each kind the theta and the residual
+    # of its own single-kind call, or raises the first residual a
+    # single-kind call raises.  The per-node kernel costs O(N^2), so it
+    # stops at 2^10 nodes.
+    if kernel is convolve_step_statedep:
+        log2N = min(log2N, 10)
     g = build_grid(0.0, half_width, log2N)
     x = g.space_nodes()
     rng = np.random.default_rng(seed)
     eta = np.exp(-(x**2)) * (1.0 + 0.1 * rng.standard_normal(g.N))
-    law = IncrementSpectrum(g, step, drift, vol)
-    expected = [_standalone(eta, g, PsiKind(kind, alpha, step, drift, vol)) for kind in kinds]
+    law = (step, drift, vol, alpha)
+    expected = [_standalone(kernel, eta, g, *law, kind) for kind in kinds]
     raised = [r for r in expected if not isinstance(r, tuple)]
     if raised:
         with pytest.raises(ImaginaryResidualError) as info:
-            law.convolve(eta, alpha, kinds)
+            kernel(eta, g, *law, kinds)
         assert info.value.residual == pytest.approx(raised[0], rel=1e-13)
         return
-    for (theta, residual), (ref, ref_residual) in zip(law.convolve(eta, alpha, kinds), expected):
+    for (theta, residual), (ref, ref_residual) in zip(kernel(eta, g, *law, kinds), expected):
         assert np.max(np.abs(theta - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert residual == pytest.approx(ref_residual, rel=1e-13, abs=1e-300)
 
@@ -197,7 +222,7 @@ def test_increment_spectrum_takes_finite_scalar_coefficients():
     with pytest.raises(ValueError, match="non-finite"):
         IncrementSpectrum(g, 0.1, np.nan, 1.0)
     with pytest.raises(ValueError, match="unknown psi tag"):
-        IncrementSpectrum(g, 0.1, 0.0, 1.0).convolve(np.zeros(g.N), 0.1, ("curvature",))
+        _constant_step(np.zeros(g.N), g, 0.1, 0.0, 1.0, 0.1, ("curvature",))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -208,9 +233,9 @@ def test_convolution_matches_dense_quadrature(alpha, kind):
     g = build_grid(0.0, 4.0, 8)
     x = g.space_nodes()
     eta = np.exp(-(x**2))
-    psi = PsiKind(kind, alpha, step=0.05, drift=0.1, vol=1.0)
-    theta, _ = convolve_step(eta, g, psi)
-    dense = dense_quadrature_step(lambda y: np.exp(-(y**2)), g, psi, 10 * g.N)
+    law = dict(step=0.05, drift=0.1, vol=1.0, alpha=alpha, kind=kind)
+    theta, _ = _one_kind(eta, g, **law)
+    dense = dense_quadrature_step(lambda y: np.exp(-(y**2)), g, **law, quad_points=10 * g.N)
     n0 = g.N // 8
     assert np.max(np.abs(theta - dense)[n0:-n0]) <= 1e-10
 
@@ -218,18 +243,17 @@ def test_convolution_matches_dense_quadrature(alpha, kind):
 def test_convolution_is_linear():
     g = build_grid(0.0, 3.0, 7)
     x = g.space_nodes()
-    psi = PsiKind(EXPECTATION, 0.2, step=0.1, drift=0.0, vol=1.0)
+    law = (0.1, 0.0, 1.0, 0.2, EXPECTATION)
     w1 = np.exp(-(x**2))
     w2 = np.cos(x) * np.exp(-np.abs(x))
-    combined, _ = convolve_step(1.7 * w1 - 0.4 * w2, g, psi)
-    parts = 1.7 * convolve_step(w1, g, psi)[0] - 0.4 * convolve_step(w2, g, psi)[0]
+    combined, _ = _one_kind(1.7 * w1 - 0.4 * w2, g, *law)
+    parts = 1.7 * _one_kind(w1, g, *law)[0] - 0.4 * _one_kind(w2, g, *law)[0]
     assert np.max(np.abs(combined - parts)) <= 1e-10
 
 
 def test_convolution_of_zero_is_zero():
     g = build_grid(0.0, 1.0, 5)
-    psi = PsiKind(EXPECTATION, 0.1, step=0.1, drift=0.0, vol=1.0)
-    theta, residual = convolve_step(np.zeros(g.N), g, psi)
+    theta, residual = _one_kind(np.zeros(g.N), g, 0.1, 0.0, 1.0, 0.1, EXPECTATION)
     assert np.max(np.abs(theta)) == 0.0
     assert residual == 0.0
 
@@ -237,8 +261,7 @@ def test_convolution_of_zero_is_zero():
 def test_convolve_step_reports_small_residual_on_smooth_input():
     g = build_grid(0.0, 4.0, 8)
     x = g.space_nodes()
-    psi = PsiKind(EXPECTATION, 0.1, step=0.05, drift=0.0, vol=1.0)
-    theta, residual = convolve_step(np.exp(-(x**2)), g, psi)
+    theta, residual = _one_kind(np.exp(-(x**2)), g, 0.05, 0.0, 1.0, 0.1, EXPECTATION)
     assert theta.shape == (g.N,)
     assert 0.0 <= residual <= 1e-12
 
@@ -250,9 +273,8 @@ def test_imaginary_residual_raises_on_unresolvable_kernel():
     # silently truncated
     g = build_grid(0.0, 5.0, 6)
     signs = 1.0 - 2.0 * (np.arange(g.N) % 2)
-    psi = PsiKind(GRADIENT, 0.0, step=1e-4, drift=0.0, vol=1.0)
     with pytest.raises(ImaginaryResidualError) as exc_info:
-        convolve_step(signs, g, psi)
+        _one_kind(signs, g, 1e-4, 0.0, 1.0, 0.0, GRADIENT)
     err = exc_info.value
     assert isinstance(err, ArithmeticError)
     assert err.tolerance == IMAG_RESIDUAL_TOLERANCE == 1e-8
@@ -263,11 +285,10 @@ def test_statedep_matches_fast_path_for_constant_coefficients():
     g = build_grid(1.0, 2.0, 7)
     x = g.space_nodes(include_right=True)
     eta = np.maximum(np.exp(x[:-1]) - 2.0, 0.0)
-    psi = PsiKind(EXPECTATION, 0.15, step=0.02, drift=0.05, vol=0.8)
-    fast, _ = convolve_step(eta, g, psi)
-    slow, _ = convolve_step_statedep(eta, g, psi)
-    per_node, _ = convolve_step_statedep(
-        eta, g, PsiKind(EXPECTATION, 0.15, 0.02, np.full(g.N, 0.05), np.full(g.N, 0.8))
+    fast, _ = _one_kind(eta, g, 0.02, 0.05, 0.8, 0.15, EXPECTATION)
+    ((slow, _),) = convolve_step_statedep(eta, g, 0.02, 0.05, 0.8, 0.15, (EXPECTATION,))
+    ((per_node, _),) = convolve_step_statedep(
+        eta, g, 0.02, np.full(g.N, 0.05), np.full(g.N, 0.8), 0.15, (EXPECTATION,)
     )
     assert np.max(np.abs(fast - slow)) <= 1e-10
     assert np.array_equal(per_node, slow)
@@ -280,22 +301,23 @@ def test_statedep_rows_follow_their_own_multiplier():
     x = g.space_nodes()
     eta = np.exp(-(x**2)) + 0.3 * x
     drifts = 0.1 + 0.05 * np.tanh(x)
-    mixed, _ = convolve_step_statedep(eta, g, PsiKind(EXPECTATION, 0.1, 0.05, drifts, 1.0))
+    ((mixed, _),) = convolve_step_statedep(eta, g, 0.05, drifts, 1.0, 0.1, (EXPECTATION,))
     for k in (0, 7, 16, 25, 31):
-        uniform, _ = convolve_step(eta, g, PsiKind(EXPECTATION, 0.1, 0.05, drifts[k], 1.0))
+        uniform, _ = _one_kind(eta, g, 0.05, drifts[k], 1.0, 0.1, EXPECTATION)
         assert mixed[k] == pytest.approx(uniform[k], abs=1e-11)
 
 
 def test_convolve_step_validates_lengths():
     g = build_grid(0.0, 1.0, 5)
-    psi = PsiKind(EXPECTATION, 0.1, step=0.1, drift=0.0, vol=1.0)
     with pytest.raises(ValueError):
-        convolve_step(np.zeros(g.N - 1), g, psi)
-    short = PsiKind(EXPECTATION, 0.1, step=0.1, drift=np.zeros(g.N - 1), vol=1.0)
+        _one_kind(np.zeros(g.N - 1), g, 0.1, 0.0, 1.0, 0.1, EXPECTATION)
     with pytest.raises(ValueError, match="length N"):
-        convolve_step_statedep(np.zeros(g.N), g, short)
+        convolve_step_statedep(
+            np.zeros(g.N), g, 0.1, np.zeros(g.N - 1), 1.0, 0.1, (EXPECTATION,)
+        )
 
 
 def test_psi_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        PsiKind("curvature", 0.1, 0.1, 0.0, 1.0).values(np.zeros(4))
+    g = build_grid(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="unknown psi tag"):
+        convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, 1.0, 0.1, ("curvature",))
