@@ -25,14 +25,25 @@ kind's multiplier from phi(nu - i*alpha) by the same rule, and return
 one ``(theta, residual)`` per kind.  ``convolve_step`` reads phi(nu)
 from an ``IncrementSpectrum`` kept across a solve's steps, so a step
 takes one rfft of its samples and one stacked irfft for all kinds.
-``convolve_step_statedep`` evaluates each node's phi(nu - i*alpha) once
-per block of rows and shares it across the kinds.
+
+``convolve_step_statedep`` gives node x_k its own law and routes row k
+by its resolution r_k = vol_k*sqrt(step)/dx.  A row the grid resolves,
+r_k >= BAND_MIN_RESOLUTION (about 1.932) with a band narrower than N/4
+nodes, sums eta against the sampled, tilted increment density within
+BAND_STDS standard deviations of its mean: O(band) work.  The sampled
+kernel folds the multiplier beyond pi/dx back onto the grid, a tail of
+exp(-pi^2 r^2 / 2) relative to nu = 0, which at r* falls to the
+residual tolerance.  Every other row sums the real-FFT formula out,
+O(N) work, evaluating phi(nu - i*alpha) once per block of rows for all
+kinds.  The Nyquist residual of every row is measured on either route.
 
 ``dft`` and ``idft`` state the DFT convention: the forward transform
 carries the 1/N factor, the inverse none.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,8 +55,22 @@ from .transform import EXPECTATION, GRADIENT
 # multiplier or an unresolved kernel rather than roundoff.
 IMAG_RESIDUAL_TOLERANCE = 1e-8
 
-# Rows per block of the state-dependent step; bounds its work arrays.
+# Rows per block of the state-dependent row formula; bounds its work
+# arrays.  A block of the banded sum holds as many entries.
 _ROW_BLOCK = 16
+
+# Half-width of the banded real-space kernel, in standard deviations of
+# one increment: the Gaussian tail it drops is below
+# exp(-BAND_STDS**2 / 2) = exp(-50), about 2e-22, of the kernel's peak.
+BAND_STDS = 10
+
+# Smallest resolution r = vol*sqrt(step)/dx at which a row of the
+# state-dependent step takes the banded kernel.  The sampled kernel
+# differs from the row formula by the multiplier beyond the Nyquist
+# frequency pi/dx, which relative to its value at nu = 0 is
+# exp(-pi^2 r^2 / 2); at r* = sqrt(2 ln(1/IMAG_RESIDUAL_TOLERANCE))/pi,
+# about 1.932, that tail falls to the residual tolerance.
+BAND_MIN_RESOLUTION = math.sqrt(2.0 * math.log(1.0 / IMAG_RESIDUAL_TOLERANCE)) / math.pi
 
 
 class ImaginaryResidualError(ArithmeticError):
@@ -118,11 +143,11 @@ def _check_eta(eta, grid: GridPair) -> np.ndarray:
 
 
 def _per_row(value, N: int) -> np.ndarray:
-    """A scalar or length-N coefficient as an (N, 1) column of rows."""
+    """A scalar or length-N coefficient as a length-N vector, entry k for row k."""
     value = np.asarray(value, dtype=float)
     if value.shape not in ((), (N,)):
         raise ValueError(f"drift and vol must be scalars or have length N = {N}")
-    return np.broadcast_to(value, (N,))[:, None]
+    return np.broadcast_to(value, (N,))
 
 
 def _guard(theta: np.ndarray, nyquist_imag: float, N: int):
@@ -205,6 +230,62 @@ def convolve_step(eta: np.ndarray, spectrum: IncrementSpectrum, alpha: float, ki
     return [_guard(theta, abs(row[-1].imag), N) for theta, row in zip(thetas, products)]
 
 
+def _row_formula(thetas, rows, eta_hat, grid, step, drift, vol, alpha, kinds):
+    """Rows ``rows`` of theta by the real-FFT formula summed out.
+
+    theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N) psi_k(nu_m) F_m) with
+    F = rfft(eta) and c = 1, 2, ..., 2, 1, in blocks of ``_ROW_BLOCK``
+    rows; each block evaluates phi_k(nu - i*alpha) once for all kinds.
+    """
+    N = grid.N
+    nu = grid.frequencies()
+    shifted = nu - 1j * alpha
+    i_nu = 1j * nu
+    pair_count = np.full(nu.size, 2.0)
+    pair_count[[0, -1]] = 1.0
+    m = np.arange(nu.size)
+    roots = np.exp((2j * np.pi / N) * np.arange(N))
+    for start in range(0, rows.size, _ROW_BLOCK):
+        k = rows[start : start + _ROW_BLOCK, None]
+        expectation = increment_cf(shifted, step, drift[k], vol[k])
+        block = _kind_rows(expectation, i_nu, alpha, vol[k], kinds) * eta_hat
+        thetas[:, k[:, 0]] = (roots[(k * m) % N] * block).real @ pair_count / N
+
+
+def _banded_sum(thetas, rows, half_widths, eta, grid, step, drift, vol, alpha, kinds):
+    """Rows ``rows`` of theta against the sampled, tilted increment density.
+
+    Row k sums eta_{k+j} (indices mod N) over node offsets w = j*dx
+    within ``half_widths[k]`` nodes of the tilted mean
+    (drift_k + alpha*vol_k^2)*step, weighted by the expectation kernel
+
+        dx*exp(alpha*w - (w - drift_k*step)^2/(2*vol_k^2*step)) / sqrt(2*pi*vol_k^2*step)
+
+    and, for the gradient, by that times (w - drift_k*step)/(vol_k*step).
+    Every row takes the widest band; a block holds about as many
+    entries as a block of the row formula.
+    """
+    N, dx = grid.N, grid.dx
+    width = 2 * int(np.max(half_widths[rows])) + 1
+    offsets = np.arange(width)
+    wrapped = np.concatenate((eta, eta[: width - 1]))
+    block = max(1, _ROW_BLOCK * (N // 2 + 1) // width)
+    for start in range(0, rows.size, block):
+        k = rows[start : start + block, None]
+        mean = drift[k] * step
+        var = vol[k] ** 2 * step
+        lead = np.rint((mean + alpha * var) / dx)
+        first = lead - width // 2
+        w = (first + offsets) * dx
+        centred = w - mean
+        density = np.exp(alpha * w - centred**2 / (2.0 * var))
+        weighted = density * (dx / np.sqrt(2.0 * np.pi * var))
+        weighted *= wrapped[((k + first) % N).astype(int) + offsets]
+        for row, kind in zip(thetas, kinds):
+            terms = weighted if kind == EXPECTATION else weighted * centred / (vol[k] * step)
+            row[k[:, 0]] = terms.sum(axis=1)
+
+
 def convolve_step_statedep(
     eta: np.ndarray, grid: GridPair, step: float, drift, vol, alpha: float, kinds
 ):
@@ -214,36 +295,42 @@ def convolve_step_statedep(
     its own increment law, frozen at the conditioning point, and the
     inverse FFT no longer applies.  drift and vol are scalars or
     length-N arrays (entry k belongs to node x_k); step, alpha and the
-    kinds are shared by every row.  Row k is the real-FFT formula
-    summed out, theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N)
-    psi_k(nu_m) F_m) with F = rfft(eta) and c = 1, 2, ..., 2, 1, in
-    blocks of rows; each block evaluates phi_k(nu - i*alpha) once for
-    all kinds.  Returns one ``(theta, residual)`` per kind like
-    ``convolve_step``; each kind's residual guard takes its largest
-    per-row Nyquist term.
+    kinds are shared by every row.
+
+    Each row takes one of two routes by its resolution
+    r_k = vol_k*sqrt(step)/dx.  A row with r_k >= BAND_MIN_RESOLUTION
+    whose band of 2*ceil(BAND_STDS*r_k + 1/2) + 1 nodes is narrower than
+    N/4 sums eta against its sampled, tilted increment density, O(band)
+    work per row.  Every other row sums out the real-FFT formula, O(N)
+    work per row.  Either way one rfft gives F_{N/2}, and each kind's
+    residual guard takes the largest per-row Nyquist term
+    |Im(psi_k(nu_{N/2}) F_{N/2})| / N over all rows.  Returns one
+    ``(theta, residual)`` per kind like ``convolve_step``.
     """
     eta = _check_eta(eta, grid)
     N = grid.N
     drift = _per_row(drift, N)
     vol = _per_row(vol, N)
 
-    nu = grid.frequencies()
-    shifted = nu - 1j * alpha
-    i_nu = 1j * nu
     eta_hat = np.fft.rfft(eta)
-    pair_count = np.full(nu.size, 2.0)
-    pair_count[[0, -1]] = 1.0
-    m = np.arange(nu.size)
-    roots = np.exp((2j * np.pi / N) * np.arange(N))
+    nu_max = grid.frequencies()[-1]
+    phi_max = increment_cf(nu_max - 1j * alpha, step, drift, vol)
+    nyquist = _kind_rows(phi_max, 1j * nu_max, alpha, vol, kinds) * eta_hat[-1]
+
+    resolution = vol * math.sqrt(step) / grid.dx
+    half_widths = np.ceil(BAND_STDS * resolution + 0.5)
+    banded = (
+        (resolution >= BAND_MIN_RESOLUTION)
+        & (2 * half_widths + 1 < N / 4)
+        & np.isfinite(drift)
+    )
     thetas = np.empty((len(kinds), N))
-    nyquist_imag = np.empty((len(kinds), N))
-    for start in range(0, N, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        k = np.arange(start, min(start + _ROW_BLOCK, N))[:, None]
-        expectation = increment_cf(shifted, step, drift[rows], vol[rows])
-        block = _kind_rows(expectation, i_nu, alpha, vol[rows], kinds) * eta_hat
-        thetas[:, rows] = (roots[(k * m) % N] * block).real @ pair_count / N
-        nyquist_imag[:, rows] = np.abs(block[..., -1].imag)
+    rows = np.flatnonzero(banded)
+    if rows.size:
+        _banded_sum(thetas, rows, half_widths, eta, grid, step, drift, vol, alpha, kinds)
+    rows = np.flatnonzero(~banded)
+    _row_formula(thetas, rows, eta_hat, grid, step, drift, vol, alpha, kinds)
     return [
-        _guard(theta, float(np.max(imag)), N) for theta, imag in zip(thetas, nyquist_imag)
+        _guard(theta, float(np.max(np.abs(row.imag))), N)
+        for theta, row in zip(thetas, nyquist)
     ]

@@ -172,6 +172,26 @@ def test_value_error_inside_a_step_aborts_with_step_index(small_grid):
     assert "non-finite" in exc_info.value.reason
 
 
+def test_drift_non_finite_at_some_nodes_aborts_without_warnings(small_grid):
+    # vol 0.25 resolves as r = 2.4 on this grid, so the per-node step
+    # sends every row with a finite drift to the band; the NaN rows keep
+    # the row formula, and the adjustment names step 4
+    spec = fbsde(
+        horizon=0.5,
+        steps=10,
+        x_init=0.0,
+        drift=lambda t, x: np.where(x > 1.0, np.nan, 0.0) if t < 0.23 else 0.0,
+        vol=lambda t, x: 0.25,
+        terminal=np.tanh,
+        driver=_zero_driver,
+    )
+    with warnings.catch_warnings(), pytest.raises(SolveAborted) as exc_info:
+        warnings.simplefilter("error")
+        solve(spec, small_grid)
+    assert exc_info.value.step_index == 4
+    assert "non-finite" in exc_info.value.reason
+
+
 def test_slope_that_rounds_the_margin_away_aborts_without_warnings(small_grid):
     # boundary slopes of -1e20 and +1e20 used to give alpha = inf and
     # kappa = nan with RuntimeWarnings before the transform refused them
@@ -287,21 +307,51 @@ def test_constant_path_evaluates_the_increment_law_once_per_coefficient_pair(
 
 
 def test_per_node_step_evaluates_the_increment_law_once_per_row_block(monkeypatch):
-    # explicit2 asks for the expectation and the gradient in one call,
-    # and each block of 16 rows evaluates phi(nu - i*alpha) once for both
+    # each step evaluates phi at the Nyquist frequency once for all rows,
+    # for the residual guard.  A row the grid resolves takes the banded
+    # sum and evaluates nothing more; every other row evaluates
+    # phi(nu - i*alpha) once per block of 16 such rows, shared by the
+    # expectation and the gradient that explicit2 asks for in one call.
     calls = Counter()
     cf = spectral_module.increment_cf
 
-    def counted(*args):
-        calls["increment_cf"] += 1
-        return cf(*args)
+    def counted(nu, step, drift, vol):
+        if np.ndim(nu) == 0:
+            calls["nyquist"] += 1
+            calls["nyquist rows"] += np.size(vol)
+        else:
+            calls["row blocks"] += 1
+            calls["block rows"] += np.size(vol)
+        return cf(nu, step, drift, vol)
 
     monkeypatch.setattr(spectral_module, "increment_cf", counted)
-    spec = _selection_spec("local-vol")
+    spec = fbsde(
+        horizon=0.5,
+        steps=6,
+        x_init=0.0,
+        drift=lambda t, x: 0.1,
+        vol=lambda t, x: 0.13 + 0.06 * np.tanh(x),
+        terminal=np.tanh,
+        driver=_zero_driver,
+    )
     assert spec.scheme == EXPLICIT_II
-    grid = build_grid(spec.x_init, 2.0, 7)
+    grid = build_grid(spec.x_init, 2.0, 8)
+    # r = vol*sqrt(dt)/dx runs from 1.3 to 3.5: the low rows are too
+    # coarse for the band and the high ones too wide for N/4 nodes
+    x = grid.space_nodes()
+    r = spec.vol(0.0, x) * np.sqrt(spec.step_size) / grid.dx
+    band = 2 * np.ceil(spectral_module.BAND_STDS * r + 0.5) + 1
+    coarse = r < spectral_module.BAND_MIN_RESOLUTION
+    wide = band >= grid.N / 4
+    assert coarse.any() and wide.any() and not (coarse | wide).all()
+    formula_rows = int(np.count_nonzero(coarse | wide))
     solve(spec, grid)
-    assert calls == {"increment_cf": spec.steps * -(-grid.N // 16)}
+    assert calls == {
+        "nyquist": spec.steps,
+        "nyquist rows": spec.steps * grid.N,
+        "row blocks": spec.steps * -(-formula_rows // 16),
+        "block rows": spec.steps * formula_rows,
+    }
 
 
 def _full_complex_row_residual(eta, grid, laws):

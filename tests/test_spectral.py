@@ -1,5 +1,8 @@
 """Tests for the DFT pair, increment multipliers and convolution steps."""
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,14 +15,18 @@ from convbsde import (
     IMAG_RESIDUAL_TOLERANCE,
     ImaginaryResidualError,
     IncrementSpectrum,
+    apply_transform,
     build_grid,
     convolve_step,
     convolve_step_statedep,
     dense_quadrature_step,
     dft,
+    fit_coefficients,
     idft,
     increment_cf,
 )
+
+R_STAR = spectral_module.BAND_MIN_RESOLUTION
 
 
 def test_dft_normalization():
@@ -321,3 +328,196 @@ def test_psi_rejects_unknown_tag():
     g = build_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="unknown psi tag"):
         convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, 1.0, 0.1, ("curvature",))
+
+
+def test_band_resolution_is_where_the_dropped_tail_meets_the_tolerance():
+    # a row's multiplier at the Nyquist frequency, relative to nu = 0,
+    # is exp(-pi^2 r^2 / 2); r* is where that equals the tolerance
+    assert R_STAR == pytest.approx(1.932, abs=5e-4)
+    g = build_grid(0.0, 5.0, 9)
+    step = 0.05
+    vol = R_STAR * g.dx / math.sqrt(step)
+    nyquist = g.frequencies()[-1]
+    tail = abs(increment_cf(nyquist, step, 0.0, vol))
+    assert tail == pytest.approx(IMAG_RESIDUAL_TOLERANCE, rel=1e-9)
+    assert math.exp(-(spectral_module.BAND_STDS**2) / 2) < 1e-21
+
+
+@contextlib.contextmanager
+def _routes():
+    """Record the rows the per-node kernel sends to each route."""
+    seen = {"band": set(), "formula": set()}
+    with pytest.MonkeyPatch.context() as patch:
+        for route, name in (("band", "_banded_sum"), ("formula", "_row_formula")):
+
+            def spy(thetas, rows, *args, _route=route, _fn=getattr(spectral_module, name)):
+                seen[_route].update(rows.tolist())
+                return _fn(thetas, rows, *args)
+
+            patch.setattr(spectral_module, name, spy)
+        yield seen
+
+
+def _aliasing(eta, grid, step, drift, vol, alpha, kind):
+    """Bound on how far the banded sum may sit from the real-FFT formula.
+
+    The DFT of the sampled kernel is psi summed over the shifts
+    nu + 2*pi*p/dx, where the formula keeps p = 0 alone; the first
+    aliases p = +-1, acting on |rfft(eta)|, bound the difference.
+    """
+    nu = grid.frequencies()
+    pairs = np.full(nu.size, 2.0)
+    pairs[[0, -1]] = 1.0
+    shift = 2.0 * np.pi / grid.dx
+    alias = sum(
+        np.abs(_psi(nu + p * shift, step, drift, vol, alpha, kind)) for p in (-1.0, 1.0)
+    )
+    return float(pairs * alias @ np.abs(np.fft.rfft(eta))) / grid.N
+
+
+def _call_payoff(y, strike):
+    return np.maximum(np.exp(y) - strike, 0.0)
+
+
+def _kinked_payoff(grid, strike):
+    """A call payoff through fit_coefficients and apply_transform: (eta, coeffs)."""
+    x = grid.space_nodes(include_right=True)
+    samples = _call_payoff(x, strike)
+    coeffs = fit_coefficients(samples, grid)
+    eta, _ = apply_transform(samples[:-1], x[:-1], coeffs)
+    return eta, coeffs
+
+
+@given(
+    log2N=st.integers(8, 11),
+    half_width=st.floats(0.5, 10.0),
+    above=st.floats(0.0, 1.0),
+    vol=st.floats(0.05, 2.0),
+    drift=st.floats(-1.0, 1.0),
+    alpha=st.floats(-3.0, 3.0),
+    kinked=st.booleans(),
+    moneyness=st.floats(-0.5, 0.5),
+)
+@example(log2N=9, half_width=5.0, above=0.0, vol=0.2, drift=0.01, alpha=0.0,
+         kinked=True, moneyness=0.0)
+@example(log2N=9, half_width=1.6, above=0.0, vol=0.13, drift=0.4, alpha=0.0,
+         kinked=True, moneyness=0.1)
+@settings(max_examples=60, deadline=None)
+def test_band_matches_the_row_formula_on_resolved_rows(
+    log2N, half_width, above, vol, drift, alpha, kinked, moneyness
+):
+    # every row from r* up to the widest band under N/4 nodes takes the
+    # band, which agrees with the real-FFT formula to 1e-12 of the
+    # output plus the aliased multiplier the sampled kernel carries.
+    # That term is below 3e-13 for smooth input and for the
+    # expectation; a kink's gradient at r* takes it to about 2e-11.
+    g = build_grid(0.0, half_width, log2N)
+    widest = ((g.N / 4 - 1) / 2 - 1.5) / spectral_module.BAND_STDS
+    r = R_STAR * (1 + 1e-9) + above * (widest - R_STAR) * (1 - 1e-9)
+    step = (r * g.dx / vol) ** 2
+    if kinked:
+        eta, coeffs = _kinked_payoff(g, math.exp(moneyness * half_width))
+        alpha = coeffs.alpha
+    else:
+        x = g.space_nodes()
+        eta = np.exp(-((5.0 * x / half_width) ** 2)) * np.cos(x)
+    law = (step, drift, vol, alpha)
+    kinds = (EXPECTATION, GRADIENT)
+    with _routes() as routes:
+        banded = convolve_step_statedep(eta, g, *law, kinds)
+    assert routes == {"band": set(range(g.N)), "formula": set()}
+    for (theta, _), (ref, _), kind in zip(banded, _constant_step(eta, g, *law, kinds), kinds):
+        bound = 1e-12 * np.max(np.abs(ref)) + _aliasing(eta, g, *law, kind)
+        assert np.max(np.abs(theta - ref)) <= bound
+
+
+def test_rows_just_below_the_band_resolution_keep_the_row_formula():
+    g = build_grid(0.0, 5.0, 9)
+    eta, coeffs = _kinked_payoff(g, 1.0)
+    step = 0.05
+    for r, route in ((R_STAR * (1 - 1e-9), "formula"), (R_STAR * (1 + 1e-9), "band")):
+        vol = r * g.dx / math.sqrt(step)
+        with _routes() as routes:
+            convolve_step_statedep(eta, g, step, 0.0, vol, coeffs.alpha, (EXPECTATION,))
+        assert routes[route] == set(range(g.N))
+
+
+@pytest.mark.parametrize(
+    "low, high, largest",
+    [(0.15, 0.45, "formula"), (0.35, 0.6, "band")],
+    ids=["coarse-and-banded", "banded-and-wide"],
+)
+def test_mixed_resolution_rows_follow_their_own_law(low, high, largest):
+    # on 2^8 nodes over [-2, 2] at step 0.01, r = 6.4*vol: rows below
+    # vol 0.302 are too coarse for the band, rows above 0.476 too wide
+    # for N/4 nodes.  Each row equals the constant-coefficient step run
+    # with its own law, and each kind's residual is the largest per-row
+    # Nyquist term over both routes.
+    g = build_grid(0.0, 2.0, 8)
+    step = 0.01
+    x = g.space_nodes(include_right=True)
+    vol = low + (high - low) * (1.0 + np.tanh(x[:-1] / 0.5)) / 2.0
+    drift = 0.05 - 0.5 * vol**2
+    samples = np.log1p(np.exp(x))
+    coeffs = fit_coefficients(samples, g)
+    eta, _ = apply_transform(samples[:-1], x[:-1], coeffs)
+    alpha = coeffs.alpha
+    kinds = (EXPECTATION, GRADIENT)
+    with _routes() as routes:
+        results = convolve_step_statedep(eta, g, step, drift, vol, alpha, kinds)
+    assert routes["band"] and routes["formula"]
+    assert routes["band"] | routes["formula"] == set(range(g.N))
+
+    nyquist_bin = float(eta @ (1.0 - 2.0 * (np.arange(g.N) % 2)))
+    for (theta, residual), kind in zip(results, kinds):
+        terms = np.empty(g.N)
+        for k in range(g.N):
+            law = (step, drift[k], vol[k], alpha)
+            ref, _ = _one_kind(eta, g, *law, kind)
+            bound = 1e-12 * np.max(np.abs(ref)) + _aliasing(eta, g, *law, kind)
+            assert abs(theta[k] - ref[k]) <= bound
+            psi = _psi(g.frequencies()[-1], *law, kind)
+            terms[k] = abs((psi * nyquist_bin).imag) / g.N
+        assert int(np.argmax(terms)) in routes[largest]
+        assert residual == pytest.approx(np.max(terms) / np.max(np.abs(theta)), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("kind", [EXPECTATION, GRADIENT])
+def test_banded_rows_match_dense_quadrature(kind):
+    # vol 0.3 over step 0.05 resolves as r = 2.1 on 2^8 nodes and 4.3 on
+    # 2^9 over [-4, 4], so every row takes the band.  On smooth input it
+    # matches the quadrature to roundoff; a kinked payoff costs O(dx^2)
+    # in any node-spaced sum, so the error falls fourfold per halving.
+    law = dict(step=0.05, drift=0.1, vol=0.3)
+    errors = []
+    for log2N in (8, 9):
+        g = build_grid(0.0, 4.0, log2N)
+        x = g.space_nodes()
+        interior = slice(g.N // 8, -g.N // 8)
+        for alpha in (0.0, 0.3):
+            with _routes() as routes:
+                ((theta, _),) = convolve_step_statedep(
+                    np.exp(-(x**2)), g, **law, alpha=alpha, kinds=(kind,)
+                )
+            assert routes["band"] == set(range(g.N))
+            dense = dense_quadrature_step(
+                lambda y: np.exp(-(y**2)), g, **law, alpha=alpha, kind=kind,
+                quad_points=10 * g.N,
+            )
+            assert np.max(np.abs(theta - dense)[interior]) <= 1e-10
+
+        eta, coeffs = _kinked_payoff(g, 1.0)
+        alpha = coeffs.alpha
+
+        def kinked(y):
+            return np.exp(-alpha * y) * (_call_payoff(y, 1.0) + coeffs.beta * y + coeffs.kappa)
+
+        ((theta, _),) = convolve_step_statedep(eta, g, **law, alpha=alpha, kinds=(kind,))
+        dense = dense_quadrature_step(
+            kinked, g, **law, alpha=alpha, kind=kind, quad_points=10 * g.N
+        )
+        errors.append(
+            np.max(np.abs(theta - dense)[interior]) / np.max(np.abs(dense)[interior])
+        )
+    assert errors[0] <= (1e-6 if kind == EXPECTATION else 1e-4)
+    assert errors[1] <= errors[0] / 3.5
