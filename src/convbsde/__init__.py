@@ -17,6 +17,7 @@ from .model import (
     SCHEMES,
     ProblemSpec,
     SolutionSurface,
+    StepDiagnostics,
     brownian_bsde,
     fbsde,
 )
@@ -34,7 +35,7 @@ from .pricing import (
     check_price_bounds,
     extract_delta,
 )
-from .solver import SolveAborted, StepDiagnostics, solve, value_at_start
+from .solver import SolveAborted, solve, value_at_start
 from .spectral import (
     EXPECTATION,
     GRADIENT,

@@ -7,7 +7,9 @@ against the closed form, ``converge`` runs a mesh-refinement study and
 ``paths`` simulates scenarios over a solved surface.  Parameters come
 from an optional JSON config file, which may carry any known key, plus
 flag overrides; each command takes only the flags of the settings it
-reads (``COMMANDS``).  Every command is deterministic given (config, seed).
+reads (``COMMANDS``).  Every output is deterministic given (config,
+seed) except the wall-clock ``runtime_ms`` that ``price`` prints and
+writes.
 
 Exit codes: 0 success, 2 configuration error (including an unread flag
 and a request too large to store), 3 numerical abort (including a
@@ -30,7 +32,7 @@ import numpy as np
 from .grid import MAX_LOG2N, MIN_LOG2N, build_grid
 from .model import EXPLICIT_I, EXPLICIT_II
 from .oracles import binomial_bsde, black_scholes_call, black_scholes_call_curve
-from .pathsim import simulate_paths
+from .pathsim import GENERATOR, simulate_paths
 from .pricing import (
     STYLE_AMERICAN,
     STYLE_EUROPEAN,
@@ -229,9 +231,15 @@ def _closed_form_available(market: MarketParams) -> bool:
     )
 
 
-def _solve_market(
-    market: MarketParams, numerics: Numerics, n=None, scheme=None, full_surface=False
-):
+def _require_closed_form(market: MarketParams, command: str) -> None:
+    if not _closed_form_available(market):
+        raise ConfigError(
+            f"{command} needs a closed-form reference: equal rates and "
+            "either european style or zero dividend"
+        )
+
+
+def _solve_market(market: MarketParams, numerics: Numerics, full_surface=False):
     """Build and solve the pricing problem; return (problem, surface).
 
     Only ``paths`` reads past row 0, so every other command keeps the
@@ -241,9 +249,7 @@ def _solve_market(
     (PriceBoundBreach).  Both map to exit code 3.
     """
     check_domain_coverage(market, numerics.half_width)
-    n = numerics.n if n is None else n
-    scheme = numerics.scheme if scheme is None else scheme
-    problem = build_pricing_problem(market, n, scheme)
+    problem = build_pricing_problem(market, numerics.n, numerics.scheme)
     grid = build_grid(problem.x_init, numerics.half_width, numerics.log2N)
     surface = solve(problem, grid, full_surface=full_surface)
     check_price_bounds(value_at_start(surface)[0], market)
@@ -302,7 +308,9 @@ def cmd_table(config: RunConfig) -> int:
             for n in config.n_list:
                 label = NAME_BY_SCHEME[scheme]
                 try:
-                    _, surface = _solve_market(market, config.numerics, n=n, scheme=scheme)
+                    _, surface = _solve_market(
+                        market, replace(config.numerics, n=n, scheme=scheme)
+                    )
                     y0, _ = value_at_start(surface)
                     delta = extract_delta(surface, market)
                     ref_price, _ = _reference(market, n)
@@ -333,11 +341,7 @@ def cmd_table(config: RunConfig) -> int:
 
 
 def cmd_error_surface(config: RunConfig) -> int:
-    if not _closed_form_available(config.market):
-        raise ConfigError(
-            "error-surface needs a closed-form reference: equal rates and "
-            "either european style or zero dividend"
-        )
+    _require_closed_form(config.market, "error-surface")
     market = config.market
     _, surface = _solve_market(market, config.numerics)
     x = surface.grid.space_nodes()
@@ -378,11 +382,7 @@ def cmd_converge(config: RunConfig) -> int:
         raise ConfigError(
             f"convergence study needs distinct mesh sizes; got {list(config.n_list)}"
         )
-    if not _closed_form_available(config.market):
-        raise ConfigError(
-            "converge needs a closed-form reference: equal rates and "
-            "either european style or zero dividend"
-        )
+    _require_closed_form(config.market, "converge")
     market = config.market
     ref = black_scholes_call(
         market.S0, market.K, market.r, market.div, market.sigma, market.T
@@ -390,7 +390,7 @@ def cmd_converge(config: RunConfig) -> int:
     rows = []
     errors = []
     for idx, n in enumerate(config.n_list):
-        _, surface = _solve_market(market, config.numerics, n=n)
+        _, surface = _solve_market(market, replace(config.numerics, n=n))
         y0, _ = value_at_start(surface)
         err = abs(y0 - ref)
         errors.append(err)
@@ -410,31 +410,23 @@ def cmd_converge(config: RunConfig) -> int:
     return 0
 
 
-def _path_rows(bundles):
-    """Yield the long-format CSV rows of the bundles one at a time."""
-    for bundle in bundles:
-        for i in range(bundle.times.size):
-            x = float(bundle.x_path[i])
-            yield [
-                bundle.path_index,
-                float(bundle.times[i]),
-                x,
-                float(np.exp(x)),
-                float(bundle.y_path[i]),
-                float(bundle.z_path[i]),
-                float(bundle.a_path[i]),
-            ]
+def _path_rows(paths):
+    """Yield the long-format CSV rows, built one path at a time."""
+    for index, x in enumerate(paths.x):
+        columns = (paths.times, x, np.exp(x), paths.y[index], paths.z[index], paths.a[index])
+        for row in np.column_stack(columns).tolist():
+            yield [index, *row]
 
 
 def cmd_paths(config: RunConfig) -> int:
     problem, surface = _solve_market(config.market, config.numerics, full_surface=True)
-    bundles = simulate_paths(problem, surface, config.path_count, config.seed)
+    paths = simulate_paths(problem, surface, config.path_count, config.seed)
     out = config.out or "paths.csv"
-    _write_csv(out, ["path_id", "t", "X", "S", "Y", "Z", "A"], _path_rows(bundles))
-    clamped = sum(1 for b in bundles if b.clamped)
+    _write_csv(out, ["path_id", "t", "X", "S", "Y", "Z", "A"], _path_rows(paths))
     print(
-        f"simulated {len(bundles)} paths with {bundles[0].generator} "
-        f"(seed={config.seed}, per-path seed pair), {clamped} clamped"
+        f"simulated {config.path_count} paths with {GENERATOR} "
+        f"(seed={config.seed}, per-path seed pair), "
+        f"{np.count_nonzero(paths.clamped)} clamped"
     )
     print(f"wrote {out}")
     return 0

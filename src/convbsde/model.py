@@ -59,6 +59,25 @@ class ProblemSpec:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
+@dataclass(frozen=True)
+class StepDiagnostics:
+    """Per-step record of the fit and residuals of one solve.
+
+    Entry i of each length-n array belongs to the step that computes
+    row t_i: alpha, beta and kappa are the periodization coefficients
+    fitted to the samples whose conditional expectation gives that row,
+    imag_residual is the largest imaginary residual of the step's
+    convolutions and reflection_active_nodes counts the nodes where the
+    barrier pushed the row up (0 without a barrier).
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    kappa: np.ndarray
+    imag_residual: np.ndarray
+    reflection_active_nodes: np.ndarray
+
+
 @dataclass
 class SolutionSurface:
     """Node values of the backward pair over the kept time steps.
@@ -72,15 +91,15 @@ class SolutionSurface:
     Column k belongs to the DFT node x_k, k = 0..N-1, the nodes the
     spectral step computes.  reflection, when present, holds the
     nonnegative increments that pushed u back above the barrier.
-    diagnostics is filled on request by the solver.
+    diagnostics records every step t_0..t_{n-1} in either storage form.
     """
 
     grid: GridPair
     times: np.ndarray
     u: np.ndarray
     udot: np.ndarray
+    diagnostics: StepDiagnostics = field(repr=False)
     reflection: Optional[np.ndarray] = None
-    diagnostics: Optional[list] = field(default=None, repr=False)
 
 
 def brownian_bsde(

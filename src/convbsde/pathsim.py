@@ -17,40 +17,40 @@ from .model import ProblemSpec, SolutionSurface
 from .solver import check_storage
 
 # Paths use numpy's PCG64 generator, seeded per path with the pair
-# (seed, path_index) so results do not depend on scheduling order.
+# (seed, row number) so results do not depend on scheduling order.
 GENERATOR = "numpy-pcg64"
 
 
 @dataclass(frozen=True)
 class PathBundle:
-    """One simulated scenario with the solution read along it.
+    """Simulated scenarios with the solution read along them.
 
-    a_path accumulates the interpolated reflection increments, so it
+    Row j of the (count, n+1) arrays x, y, z and a is path j at
+    ``times``, simulated by a generator seeded with (seed, j).  a
+    accumulates the interpolated reflection increments, so each row
     starts at 0 and is non-decreasing; it stays 0 for problems without
-    a barrier.  ``clamped`` flags scenarios that left the grid and were
+    a barrier.  ``clamped[j]`` flags a path that left the grid and was
     pinned to its edge, where the surface is least reliable.
     """
 
     times: np.ndarray
-    x_path: np.ndarray
-    y_path: np.ndarray
-    z_path: np.ndarray
-    a_path: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    a: np.ndarray
+    clamped: np.ndarray
     seed: int
-    path_index: int
-    clamped: bool
-    generator: str = GENERATOR
 
 
 def simulate_paths(
     spec: ProblemSpec, surface: SolutionSurface, count: int, seed: int
-) -> list[PathBundle]:
+) -> PathBundle:
     """Simulate ``count`` forward paths and read the surface along them.
 
     The simulation mesh equals the solver mesh, and the surface must
     be a full one (a start-row surface is rejected).  Interpolation
     uses the honestly computed nodes x_0..x_{N-1}; positions beyond
-    them are clamped to the nearest of those nodes and the bundle
+    them are clamped to the nearest of those nodes and the path
     flagged.  The five count x (n+1) path arrays (increments, X, Y, Z,
     A) are sized against the solver's storage cap before allocating.
     """
@@ -71,44 +71,30 @@ def simulate_paths(
 
     # Forward Euler per path (each path has its own derived generator),
     # then vectorized surface reads row by row across all paths.
-    x_paths = np.empty((count, n + 1))
+    x = np.empty((count, n + 1))
     clamped = np.zeros(count, dtype=bool)
-    x_paths[:, 0] = spec.x_init
+    x[:, 0] = spec.x_init
     incs = np.empty((count, n))
     for index in range(count):
         rng = np.random.default_rng([seed, index])
         incs[index] = sq * rng.standard_normal(n)
     for i in range(n):
-        xi = x_paths[:, i]
-        a = np.broadcast_to(np.asarray(spec.drift(times[i], xi), float), xi.shape)
-        s = np.broadcast_to(np.asarray(spec.vol(times[i], xi), float), xi.shape)
-        nxt = xi + a * dt + s * incs[:, i]
+        xi = x[:, i]
+        drift = np.broadcast_to(np.asarray(spec.drift(times[i], xi), float), xi.shape)
+        vol = np.broadcast_to(np.asarray(spec.vol(times[i], xi), float), xi.shape)
+        nxt = xi + drift * dt + vol * incs[:, i]
         outside = (nxt < x_left) | (nxt > x_right)
         clamped |= outside
-        x_paths[:, i + 1] = np.clip(nxt, x_left, x_right)
+        x[:, i + 1] = np.clip(nxt, x_left, x_right)
 
-    y_paths = np.empty((count, n + 1))
-    z_paths = np.empty((count, n + 1))
-    a_paths = np.zeros((count, n + 1))
+    y = np.empty((count, n + 1))
+    z = np.empty((count, n + 1))
+    a = np.zeros((count, n + 1))
     for i in range(n + 1):
-        y_paths[:, i] = np.interp(x_paths[:, i], nodes, surface.u[i])
-        z_paths[:, i] = np.interp(x_paths[:, i], nodes, surface.udot[i])
+        y[:, i] = np.interp(x[:, i], nodes, surface.u[i])
+        z[:, i] = np.interp(x[:, i], nodes, surface.udot[i])
     if surface.reflection is not None:
         for i in range(n):
-            a_paths[:, i + 1] = a_paths[:, i] + np.interp(
-                x_paths[:, i], nodes, surface.reflection[i]
-            )
+            a[:, i + 1] = a[:, i] + np.interp(x[:, i], nodes, surface.reflection[i])
 
-    return [
-        PathBundle(
-            times=times,
-            x_path=x_paths[index],
-            y_path=y_paths[index],
-            z_path=z_paths[index],
-            a_path=a_paths[index],
-            seed=seed,
-            path_index=index,
-            clamped=bool(clamped[index]),
-        )
-        for index in range(count)
-    ]
+    return PathBundle(times, x, y, z, a, clamped, seed)

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .grid import GridPair
-from .model import EXPLICIT_I, EXPLICIT_II, ProblemSpec, SolutionSurface
+from .model import EXPLICIT_I, EXPLICIT_II, ProblemSpec, SolutionSurface, StepDiagnostics
 from .spectral import (
     ImaginaryResidualError,
     IncrementSpectrum,
@@ -26,7 +24,6 @@ from .spectral import (
 from .transform import (
     EXPECTATION,
     GRADIENT,
-    TransformCoefficients,
     adjustment_H,
     apply_transform,
     fit_coefficients,
@@ -62,16 +59,6 @@ class SolveAborted(RuntimeError):
         super().__init__(f"solve aborted at step {step_index}: {reason}")
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Per-step record of the fit and residuals, collected on request."""
-
-    step_index: int
-    coeffs: TransformCoefficients
-    imag_residual: float
-    reflection_active_nodes: int
-
-
 def _extended_samples(values: np.ndarray) -> np.ndarray:
     """Append a right-edge sample by linear extension.
 
@@ -97,19 +84,15 @@ def _node_values(coefficient, t: float, x: np.ndarray):
     return float(first) if (raw == first).all() else raw
 
 
-def solve(
-    spec: ProblemSpec,
-    grid: GridPair,
-    collect_diagnostics: bool = False,
-    full_surface: bool = True,
-) -> SolutionSurface:
+def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> SolutionSurface:
     """Run the backward recursion and return the solution surface.
 
     The recursion reads only the row computed one step earlier, so
     ``full_surface=False`` keeps the start row alone: u, udot and the
     reflection then have shape (1, N) and their row 0 (time t_0) is
     bitwise equal to row 0 of the full surface.  Memory is O(N)
-    instead of O(n N).
+    instead of O(n N).  Either way the surface's ``StepDiagnostics``
+    records every step's fit, residual and active reflection nodes.
 
     Parameters
     ----------
@@ -117,9 +100,6 @@ def solve(
         Problem data; its x_init must equal the grid center so the
         initial state sits exactly on the middle node.
     grid : GridPair
-    collect_diagnostics : bool
-        Record per-step fit coefficients and residuals on the surface,
-        one entry per step in either storage form.
     full_surface : bool
         Keep every row t_0..t_n (the default) or only the start row.
 
@@ -167,7 +147,8 @@ def solve(
     udot = np.zeros((rows, N))
     u[-1] = g_full[:N]
     reflection = np.zeros((rows, N)) if reflected else None
-    diagnostics = [] if collect_diagnostics else None
+    fits = np.empty((4, n))  # alpha, beta, kappa and the residual, per step
+    active = np.zeros(n, dtype=int)
     law = None
 
     def convolve(values, a, s, kinds):
@@ -223,11 +204,10 @@ def solve(
         except (ImaginaryResidualError, ValueError) as exc:
             raise SolveAborted(i, str(exc)) from exc
 
-        active = 0
         if reflected:
             b = np.asarray(spec.barrier(t, x), dtype=float)
             increments = np.maximum(b - raw, 0.0)
-            active = int(np.count_nonzero(increments))
+            active[i] = np.count_nonzero(increments)
             reflection[row] = increments
             u_i = np.maximum(raw, b)
         else:
@@ -238,8 +218,7 @@ def solve(
 
         u[row] = u_i
         udot[row] = udot_i
-        if collect_diagnostics:
-            diagnostics.append(StepDiagnostics(i, coeffs, residual, active))
+        fits[:, i] = coeffs.alpha, coeffs.beta, coeffs.kappa, residual
 
         samples = _extended_samples(u_i)
 
@@ -249,7 +228,7 @@ def solve(
         u=u,
         udot=udot,
         reflection=reflection,
-        diagnostics=diagnostics,
+        diagnostics=StepDiagnostics(*fits, active),
     )
 
 

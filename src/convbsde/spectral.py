@@ -142,12 +142,19 @@ def _check_eta(eta, grid: GridPair) -> np.ndarray:
     return eta
 
 
-def _per_row(value, N: int) -> np.ndarray:
-    """A scalar or length-N coefficient as a length-N vector, entry k for row k."""
+def _per_row(value, N: int, name: str) -> np.ndarray:
+    """A scalar or length-N coefficient as a length-N vector, entry k for row k.
+
+    A non-finite entry is a ValueError naming ``name`` and its first node.
+    """
     value = np.asarray(value, dtype=float)
     if value.shape not in ((), (N,)):
         raise ValueError(f"drift and vol must be scalars or have length N = {N}")
-    return np.broadcast_to(value, (N,))
+    value = np.broadcast_to(value, (N,))
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        raise ValueError(f"non-finite {name} {value[bad[0]]} at node {bad[0]}")
+    return value
 
 
 def _guard(theta: np.ndarray, nyquist_imag: float, N: int):
@@ -294,8 +301,9 @@ def convolve_step_statedep(
     Needed when drift or vol depend on the state: node x_k then carries
     its own increment law, frozen at the conditioning point, and the
     inverse FFT no longer applies.  drift and vol are scalars or
-    length-N arrays (entry k belongs to node x_k); step, alpha and the
-    kinds are shared by every row.
+    length-N arrays (entry k belongs to node x_k), and a non-finite
+    entry is a ValueError naming the coefficient and its first node;
+    step, alpha and the kinds are shared by every row.
 
     Each row takes one of two routes by its resolution
     r_k = vol_k*sqrt(step)/dx.  A row with r_k >= BAND_MIN_RESOLUTION
@@ -309,8 +317,8 @@ def convolve_step_statedep(
     """
     eta = _check_eta(eta, grid)
     N = grid.N
-    drift = _per_row(drift, N)
-    vol = _per_row(vol, N)
+    drift = _per_row(drift, N, "drift")
+    vol = _per_row(vol, N, "vol")
 
     eta_hat = np.fft.rfft(eta)
     nu_max = grid.frequencies()[-1]
@@ -319,11 +327,7 @@ def convolve_step_statedep(
 
     resolution = vol * math.sqrt(step) / grid.dx
     half_widths = np.ceil(BAND_STDS * resolution + 0.5)
-    banded = (
-        (resolution >= BAND_MIN_RESOLUTION)
-        & (2 * half_widths + 1 < N / 4)
-        & np.isfinite(drift)
-    )
+    banded = (resolution >= BAND_MIN_RESOLUTION) & (2 * half_widths + 1 < N / 4)
     thetas = np.empty((len(kinds), N))
     rows = np.flatnonzero(banded)
     if rows.size:

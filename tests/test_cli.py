@@ -22,12 +22,18 @@ from hypothesis import strategies as st
 
 from convbsde import (
     EXPLICIT_I,
+    EXPLICIT_II,
+    STYLE_AMERICAN,
     STYLE_EUROPEAN,
     STYLES,
     DomainCoverageBreach,
     MarketParams,
     black_scholes_call,
+    build_grid,
+    build_pricing_problem,
     check_domain_coverage,
+    simulate_paths,
+    solve,
 )
 from convbsde.pricing import MAX_HALF_WIDTH
 from convbsde.cli import RunConfig, build_parser, load_config, main
@@ -625,6 +631,23 @@ def test_paths_csv_is_deterministic_and_unreflected_for_default_market(
     assert float(sample["S"]) == pytest.approx(np.exp(float(sample["X"])), rel=1e-12)
     captured = capsys.readouterr()
     assert "numpy-pcg64" in captured.out
+
+
+def test_paths_csv_holds_the_simulated_arrays_exactly(tmp_path):
+    out = tmp_path / "paths.csv"
+    args = ["--style", "american", "--div", "0.035", "--n", "50", "--log2N", "10"]
+    assert main(["paths", *args, "--paths", "3", "--seed", "5", "--out", str(out)]) == 0
+    market = MarketParams(style=STYLE_AMERICAN, div=0.035)
+    spec = build_pricing_problem(market, 50, EXPLICIT_II)
+    surface = solve(spec, build_grid(spec.x_init, 5.0, 10))
+    paths = simulate_paths(spec, surface, 3, 5)
+    assert np.any(paths.a[:, -1] > 0.0)
+    rows = _read_csv(out)
+    # grouped by path id in order, each path's rows in time order
+    assert [int(r["path_id"]) for r in rows] == [j for j in range(3) for _ in range(51)]
+    for column, values in (("t", np.tile(paths.times, 3)), ("X", paths.x), ("Y", paths.y),
+                           ("Z", paths.z), ("A", paths.a)):
+        assert [float(r[column]) for r in rows] == values.ravel().tolist()
 
 
 def test_paths_differ_across_seeds(tmp_path):

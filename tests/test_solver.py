@@ -19,12 +19,14 @@ from convbsde import (
     STYLE_EUROPEAN,
     MarketParams,
     SolveAborted,
+    TransformCoefficients,
     apply_transform,
     brownian_bsde,
     build_grid,
     build_pricing_problem,
     dft,
     fbsde,
+    fit_coefficients,
     increment_cf,
     solve,
     value_at_start,
@@ -173,9 +175,7 @@ def test_value_error_inside_a_step_aborts_with_step_index(small_grid):
 
 
 def test_drift_non_finite_at_some_nodes_aborts_without_warnings(small_grid):
-    # vol 0.25 resolves as r = 2.4 on this grid, so the per-node step
-    # sends every row with a finite drift to the band; the NaN rows keep
-    # the row formula, and the adjustment names step 4
+    # the per-node step refuses the NaN drift on entry and names it
     spec = fbsde(
         horizon=0.5,
         steps=10,
@@ -189,7 +189,7 @@ def test_drift_non_finite_at_some_nodes_aborts_without_warnings(small_grid):
         warnings.simplefilter("error")
         solve(spec, small_grid)
     assert exc_info.value.step_index == 4
-    assert "non-finite" in exc_info.value.reason
+    assert "non-finite drift nan at node" in exc_info.value.reason
 
 
 def test_slope_that_rounds_the_margin_away_aborts_without_warnings(small_grid):
@@ -392,22 +392,24 @@ def test_statedep_diagnostics_record_the_measured_residual():
         terminal=lambda x: np.log1p(np.exp(x)),
         driver=lambda t, x, y, z: -0.1 * y,
     )
-    (diag,) = solve(spec, grid, collect_diagnostics=True).diagnostics
+    diag = solve(spec, grid).diagnostics
+    assert diag.alpha.shape == diag.imag_residual.shape == (1,)
     x = grid.space_nodes()
-    eta, _ = apply_transform(spec.terminal(x), x, diag.coeffs)
+    coeffs = TransformCoefficients(diag.alpha[0], diag.beta[0], diag.kappa[0])
+    eta, _ = apply_transform(spec.terminal(x), x, coeffs)
     measured = max(
         _full_complex_row_residual(
             eta,
             grid,
             [
-                (spec.step_size, drift(0.0, xk), vol(0.0, xk), diag.coeffs.alpha, kind)
+                (spec.step_size, drift(0.0, xk), vol(0.0, xk), coeffs.alpha, kind)
                 for xk in x
             ],
         )
         for kind in (EXPECTATION, GRADIENT)
     )
     assert 1e-13 < measured < 1e-8
-    assert diag.imag_residual == pytest.approx(measured, rel=1e-2)
+    assert diag.imag_residual[0] == pytest.approx(measured, rel=1e-2)
     # the same problem on a step too short for the grid aborts
     short = fbsde(
         horizon=0.01,
@@ -432,18 +434,24 @@ def test_non_vectorized_terminal_is_rejected(small_grid):
 
 def test_diagnostics_record_every_step(small_grid):
     spec = _reflected_toy(lambda t, x: np.abs(x))
-    surface = solve(spec, small_grid, collect_diagnostics=True)
+    surface = solve(spec, small_grid)
     diags = surface.diagnostics
-    assert len(diags) == spec.steps
-    # recorded backward, from the last step down to step 0
-    assert [d.step_index for d in diags] == list(range(spec.steps - 1, -1, -1))
-    for d in diags:
-        assert 0.0 <= d.imag_residual <= 1e-8
-        assert np.isfinite(d.coeffs.alpha)
-        assert d.reflection_active_nodes >= 0
-    assert any(d.reflection_active_nodes > 0 for d in diags)
-    plain = solve(spec, small_grid)
-    assert plain.diagnostics is None
+    for values in dataclasses.astuple(diags):
+        assert values.shape == (spec.steps,)
+    # entry i is the step that computes row t_i: the last one fits the
+    # payoff, and each counts the nodes its row's reflection pushed up
+    payoff = spec.terminal(small_grid.space_nodes(include_right=True))
+    last = fit_coefficients(payoff, small_grid)
+    assert (diags.alpha[-1], diags.beta[-1], diags.kappa[-1]) == (
+        last.alpha, last.beta, last.kappa
+    )
+    assert np.array_equal(
+        diags.reflection_active_nodes,
+        np.count_nonzero(surface.reflection[:-1], axis=1),
+    )
+    assert np.all((diags.imag_residual >= 0.0) & (diags.imag_residual <= 1e-8))
+    assert np.all(np.isfinite(diags.alpha))
+    assert np.any(diags.reflection_active_nodes > 0)
 
 
 def test_schemes_agree_on_smooth_problems(small_grid):
@@ -518,8 +526,8 @@ def test_every_surface_array_has_one_column_per_dft_node(scheme, style, full_sur
 @pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
 def test_start_row_solve_is_row_zero_of_the_full_solve(scheme, style):
     spec, grid = _surface_case(scheme, style)
-    full = solve(spec, grid, collect_diagnostics=True)
-    start = solve(spec, grid, collect_diagnostics=True, full_surface=False)
+    full = solve(spec, grid)
+    start = solve(spec, grid, full_surface=False)
     shape = (1, grid.N)
     assert start.u.shape == start.udot.shape == shape
     assert np.array_equal(start.times, [0.0])
@@ -531,8 +539,11 @@ def test_start_row_solve_is_row_zero_of_the_full_solve(scheme, style):
         assert np.array_equal(start.reflection[0], full.reflection[0])
     else:
         assert start.reflection is None and full.reflection is None
-    assert len(start.diagnostics) == spec.steps
-    assert start.diagnostics == full.diagnostics
+    for kept, every in zip(
+        dataclasses.astuple(start.diagnostics), dataclasses.astuple(full.diagnostics)
+    ):
+        assert kept.shape == (spec.steps,)
+        assert np.array_equal(kept, every)
     assert value_at_start(start) == value_at_start(full)
 
 

@@ -324,6 +324,16 @@ def test_convolve_step_validates_lengths():
         )
 
 
+def test_statedep_names_the_first_non_finite_coefficient_node():
+    g = build_grid(0.0, 1.0, 5)
+    vol = np.ones(g.N)
+    vol[[5, 9]] = np.inf, np.nan
+    with pytest.raises(ValueError, match="non-finite vol inf at node 5"):
+        convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, vol, 0.1, (EXPECTATION,))
+    with pytest.raises(ValueError, match="non-finite drift nan at node 0"):
+        convolve_step_statedep(np.zeros(g.N), g, 0.1, np.nan, 1.0, 0.1, (EXPECTATION,))
+
+
 def test_psi_rejects_unknown_tag():
     g = build_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="unknown psi tag"):
