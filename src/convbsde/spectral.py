@@ -34,8 +34,11 @@ BAND_STDS standard deviations of its mean: O(band) work.  The sampled
 kernel folds the multiplier beyond pi/dx back onto the grid, a tail of
 exp(-pi^2 r^2 / 2) relative to nu = 0, which at r* falls to the
 residual tolerance.  Every other row sums the real-FFT formula out,
-O(N) work, evaluating phi(nu - i*alpha) once per block of rows for all
-kinds.  The Nyquist residual of every row is measured on either route.
+O(N) work, with phi_k(nu - i*alpha) factored into a scalar, a phase and
+a real Gaussian, so a row takes about sqrt(2N) complex exponentials and
+one real exponential per frequency for all kinds.  The Nyquist residual
+of every row is measured on either route, from the one evaluation of
+phi the step makes.
 
 ``dft`` and ``idft`` state the DFT convention: the forward transform
 carries the 1/N factor, the inverse none.
@@ -55,8 +58,14 @@ from .transform import EXPECTATION, GRADIENT
 # multiplier or an unresolved kernel rather than roundoff.
 IMAG_RESIDUAL_TOLERANCE = 1e-8
 
-# Rows per block of the state-dependent row formula; bounds its work
-# arrays.  A block of the banded sum holds as many entries.
+# Rows per block of the state-dependent row formula.  Its two work
+# arrays, reused by every block, hold 24 bytes per row and frequency:
+# at 32 rows the formula peaks at 0.5 MB for N = 512 and 2 MB for
+# N = 4096, and 64 rows are no faster at N = 4096.
+_FORMULA_BLOCK_ROWS = 32
+
+# A block of the banded sum holds as many entries as this many rows of
+# N/2 + 1 frequencies.
 _ROW_BLOCK = 16
 
 # Half-width of the banded real-space kernel, in standard deviations of
@@ -142,10 +151,11 @@ def _check_eta(eta, grid: GridPair) -> np.ndarray:
     return eta
 
 
-def _per_row(value, N: int, name: str) -> np.ndarray:
+def _per_row(value, N: int, name: str, positive: bool = False) -> np.ndarray:
     """A scalar or length-N coefficient as a length-N vector, entry k for row k.
 
-    A non-finite entry is a ValueError naming ``name`` and its first node.
+    A non-finite entry, or with ``positive`` a non-positive one, is a
+    ValueError naming ``name`` and its first such node.
     """
     value = np.asarray(value, dtype=float)
     if value.shape not in ((), (N,)):
@@ -154,6 +164,10 @@ def _per_row(value, N: int, name: str) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         raise ValueError(f"non-finite {name} {value[bad[0]]} at node {bad[0]}")
+    if positive:
+        bad = np.flatnonzero(value <= 0)
+        if bad.size:
+            raise ValueError(f"non-positive {name} {value[bad[0]]} at node {bad[0]}")
     return value
 
 
@@ -164,6 +178,17 @@ def _guard(theta: np.ndarray, nyquist_imag: float, N: int):
     if residual > IMAG_RESIDUAL_TOLERANCE:
         raise ImaginaryResidualError(residual, IMAG_RESIDUAL_TOLERANCE)
     return theta, residual
+
+
+def _split_frequencies(count: int):
+    """Indices m = q*B + r as a coarse table q*B and a fine table r < B.
+
+    B = ceil(sqrt(count)): a phase exp(i*c*m) over m = 0..count-1 is
+    the outer product of exp(i*c*q*B) and exp(i*c*r), which runs on to
+    the next multiple of B.
+    """
+    fine = int(np.ceil(np.sqrt(count)))
+    return fine * np.arange(-(-count // fine)), np.arange(fine)
 
 
 class IncrementSpectrum:
@@ -192,9 +217,7 @@ class IncrementSpectrum:
         nu = grid.frequencies()
         self._phi = increment_cf(nu, step, self.drift, self.vol)
         self._i_nu = 1j * nu
-        fine = int(np.ceil(np.sqrt(nu.size)))
-        self._fine = np.arange(fine, dtype=float)
-        self._coarse = fine * np.arange(-(-nu.size // fine), dtype=float)
+        self._coarse, self._fine = _split_frequencies(nu.size)
 
     def multipliers(self, alpha: float, kinds) -> np.ndarray:
         """The psi multiplier of each kind on the frequency nodes.
@@ -241,22 +264,59 @@ def _row_formula(thetas, rows, eta_hat, grid, step, drift, vol, alpha, kinds):
     """Rows ``rows`` of theta by the real-FFT formula summed out.
 
     theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N) psi_k(nu_m) F_m) with
-    F = rfft(eta) and c = 1, 2, ..., 2, 1, in blocks of ``_ROW_BLOCK``
-    rows; each block evaluates phi_k(nu - i*alpha) once for all kinds.
+    F = rfft(eta) and c = 1, 2, ..., 2, 1.  Row k's expectation
+    multiplier factors as
+
+        psi_E(nu) = C_k * exp(i*nu*mu_k) * exp(-vol_k^2*step*nu^2/2),
+
+    C_k = exp(step*alpha*(drift_k + vol_k^2*alpha/2)) and
+    mu_k = step*(drift_k + vol_k^2*alpha), so one array
+    X_km = exp(i*nu_m*(k*dx + mu_k)) exp(-vol_k^2*step*nu_m^2/2) c_m F_m/N
+    serves both kinds: theta_E = C_k sum Re X and
+    theta_Z = vol_k C_k (alpha sum Re X - sum nu Im X).  The phase is
+    the outer product of a coarse table over m = q*B and a fine table
+    over m = r < B, B about sqrt(N/2), each carrying its exact root of
+    unity exp(2*pi*i*(k*m mod N)/N); a row costs about sqrt(2N) complex
+    exponentials and N/2+1 real ones, in blocks of
+    ``_FORMULA_BLOCK_ROWS`` rows.
     """
     N = grid.N
-    nu = grid.frequencies()
-    shifted = nu - 1j * alpha
-    i_nu = 1j * nu
-    pair_count = np.full(nu.size, 2.0)
-    pair_count[[0, -1]] = 1.0
-    m = np.arange(nu.size)
+    m_coarse, m_fine = _split_frequencies(eta_hat.size)
+    size = m_coarse.size * m_fine.size
+    nu = grid.dnu * np.arange(size)
+    half_nu_sq = 0.5 * nu * nu
+    # w = c_m F_m / N, zero beyond m = N/2.  Over the (re, im) pairs of
+    # p = phase * Gaussian, sum Re(p*w) is a real dot product with the
+    # pairs of conj(w), and sum Im(p*nu*w) one with those of i*nu*conj(w)
+    weight = np.zeros(size, dtype=complex)
+    weight[: eta_hat.size] = np.conj(eta_hat) * (2.0 / N)
+    weight[[0, eta_hat.size - 1]] /= 2.0
+    re_weights = weight.view(float)
+    nu_im_weights = (1j * nu * weight).view(float)
     roots = np.exp((2j * np.pi / N) * np.arange(N))
-    for start in range(0, rows.size, _ROW_BLOCK):
-        k = rows[start : start + _ROW_BLOCK, None]
-        expectation = increment_cf(shifted, step, drift[k], vol[k])
-        block = _kind_rows(expectation, i_nu, alpha, vol[k], kinds) * eta_hat
-        thetas[:, k[:, 0]] = (roots[(k * m) % N] * block).real @ pair_count / N
+    # work arrays shared by every block
+    phases = np.empty((_FORMULA_BLOCK_ROWS, m_coarse.size, m_fine.size), dtype=complex)
+    gaussians = np.empty((_FORMULA_BLOCK_ROWS, size))
+    for start in range(0, rows.size, _FORMULA_BLOCK_ROWS):
+        k = rows[start : start + _FORMULA_BLOCK_ROWS]
+        var = vol[k] ** 2 * step
+        mu = step * drift[k] + var * alpha
+        coarse, fine = (
+            roots[np.outer(k, m) % N] * np.exp(1j * grid.dnu * np.outer(mu, m))
+            for m in (m_coarse, m_fine)
+        )
+        p = np.multiply(coarse[:, :, None], fine[:, None, :], out=phases[: k.size])
+        p = p.reshape(k.size, size)
+        g = np.multiply.outer(-var, half_nu_sq, out=gaussians[: k.size])
+        p *= np.exp(g, out=g)
+        pairs = p.view(float)
+        scale = np.exp(alpha * (step * drift[k] + 0.5 * var * alpha))
+        expectation = scale * (pairs @ re_weights)
+        for row, kind in zip(thetas, kinds):
+            if kind == EXPECTATION:
+                row[k] = expectation
+            else:
+                row[k] = vol[k] * (alpha * expectation - scale * (pairs @ nu_im_weights))
 
 
 def _banded_sum(thetas, rows, half_widths, eta, grid, step, drift, vol, alpha, kinds):
@@ -269,8 +329,8 @@ def _banded_sum(thetas, rows, half_widths, eta, grid, step, drift, vol, alpha, k
         dx*exp(alpha*w - (w - drift_k*step)^2/(2*vol_k^2*step)) / sqrt(2*pi*vol_k^2*step)
 
     and, for the gradient, by that times (w - drift_k*step)/(vol_k*step).
-    Every row takes the widest band; a block holds about as many
-    entries as a block of the row formula.
+    Every row takes the widest band; a block holds about
+    ``_ROW_BLOCK`` * (N/2 + 1) entries.
     """
     N, dx = grid.N, grid.dx
     width = 2 * int(np.max(half_widths[rows])) + 1
@@ -302,8 +362,9 @@ def convolve_step_statedep(
     its own increment law, frozen at the conditioning point, and the
     inverse FFT no longer applies.  drift and vol are scalars or
     length-N arrays (entry k belongs to node x_k), and a non-finite
-    entry is a ValueError naming the coefficient and its first node;
-    step, alpha and the kinds are shared by every row.
+    entry, or a vol that is not positive, is a ValueError naming the
+    coefficient and its first such node; step, alpha and the kinds are
+    shared by every row.
 
     Each row takes one of two routes by its resolution
     r_k = vol_k*sqrt(step)/dx.  A row with r_k >= BAND_MIN_RESOLUTION
@@ -318,7 +379,7 @@ def convolve_step_statedep(
     eta = _check_eta(eta, grid)
     N = grid.N
     drift = _per_row(drift, N, "drift")
-    vol = _per_row(vol, N, "vol")
+    vol = _per_row(vol, N, "vol", positive=True)
 
     eta_hat = np.fft.rfft(eta)
     nu_max = grid.frequencies()[-1]

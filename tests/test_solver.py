@@ -306,22 +306,20 @@ def test_constant_path_evaluates_the_increment_law_once_per_coefficient_pair(
     assert calls == {"increment_cf": builds}
 
 
-def test_per_node_step_evaluates_the_increment_law_once_per_row_block(monkeypatch):
-    # each step evaluates phi at the Nyquist frequency once for all rows,
-    # for the residual guard.  A row the grid resolves takes the banded
-    # sum and evaluates nothing more; every other row evaluates
-    # phi(nu - i*alpha) once per block of 16 such rows, shared by the
-    # expectation and the gradient that explicit2 asks for in one call.
+def test_per_node_step_evaluates_the_increment_law_only_at_the_nyquist_frequency(
+    monkeypatch,
+):
+    # each step evaluates phi once, at the Nyquist frequency for all N
+    # rows, for the residual guard.  A row the grid resolves takes the
+    # banded sum and every other row the factored row formula, and
+    # neither calls increment_cf, not even once per block of rows.
     calls = Counter()
     cf = spectral_module.increment_cf
 
     def counted(nu, step, drift, vol):
-        if np.ndim(nu) == 0:
-            calls["nyquist"] += 1
-            calls["nyquist rows"] += np.size(vol)
-        else:
-            calls["row blocks"] += 1
-            calls["block rows"] += np.size(vol)
+        calls["calls"] += 1
+        calls["scalar nu"] += np.ndim(nu) == 0
+        calls["rows"] += np.size(vol)
         return cf(nu, step, drift, vol)
 
     monkeypatch.setattr(spectral_module, "increment_cf", counted)
@@ -344,13 +342,11 @@ def test_per_node_step_evaluates_the_increment_law_once_per_row_block(monkeypatc
     coarse = r < spectral_module.BAND_MIN_RESOLUTION
     wide = band >= grid.N / 4
     assert coarse.any() and wide.any() and not (coarse | wide).all()
-    formula_rows = int(np.count_nonzero(coarse | wide))
     solve(spec, grid)
     assert calls == {
-        "nyquist": spec.steps,
-        "nyquist rows": spec.steps * grid.N,
-        "row blocks": spec.steps * -(-formula_rows // 16),
-        "block rows": spec.steps * formula_rows,
+        "calls": spec.steps,
+        "scalar nu": spec.steps,
+        "rows": spec.steps * grid.N,
     }
 
 

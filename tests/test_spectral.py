@@ -334,6 +334,18 @@ def test_statedep_names_the_first_non_finite_coefficient_node():
         convolve_step_statedep(np.zeros(g.N), g, 0.1, np.nan, 1.0, 0.1, (EXPECTATION,))
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.2])
+def test_statedep_names_the_first_non_positive_vol_node(bad):
+    # refused before routing: the factored row formula reads only vol^2
+    g = build_grid(0.0, 1.0, 5)
+    vol = np.ones(g.N)
+    vol[[17, 20]] = bad, -1.0
+    with pytest.raises(ValueError, match=f"non-positive vol {bad} at node 17"):
+        convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, vol, 0.1, (EXPECTATION,))
+    with pytest.raises(ValueError, match=f"non-positive vol {bad} at node 0"):
+        convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, bad, 0.1, (EXPECTATION,))
+
+
 def test_psi_rejects_unknown_tag():
     g = build_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="unknown psi tag"):
@@ -439,6 +451,73 @@ def test_band_matches_the_row_formula_on_resolved_rows(
     for (theta, _), (ref, _), kind in zip(banded, _constant_step(eta, g, *law, kinds), kinds):
         bound = 1e-12 * np.max(np.abs(ref)) + _aliasing(eta, g, *law, kind)
         assert np.max(np.abs(theta - ref)) <= bound
+
+
+def _row_by_row(eta, grid, step, drift, vol, alpha, kind):
+    """theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*k*m/N) psi_k(nu_m) F_m), row by row.
+
+    psi_k is the direct multiplier ``_psi`` of node k's law, with the
+    twiddle's phase reduced mod N before the exponential.
+    """
+    N = grid.N
+    nu = grid.frequencies()
+    pairs = np.full(nu.size, 2.0)
+    pairs[[0, -1]] = 1.0
+    weighted = pairs * np.fft.rfft(eta) / N
+    m = np.arange(nu.size)
+    theta = np.empty(N)
+    for k in range(N):
+        twiddle = np.exp((2j * np.pi / N) * ((k * m) % N))
+        psi = _psi(nu, step, drift[k], vol[k], alpha, kind)
+        theta[k] = (twiddle * psi * weighted).real.sum()
+    return theta
+
+
+@given(
+    log2N=st.integers(6, 11),
+    half_width=st.floats(0.5, 10.0),
+    low=st.floats(0.0, 1.0),
+    high=st.floats(0.0, 1.0),
+    wide_at=st.floats(0.0, 1.0),
+    step=st.floats(1e-3, 0.5),
+    drift=st.floats(-1.0, 1.0),
+    alpha=st.floats(-3.0, 3.0),
+    kinked=st.booleans(),
+    moneyness=st.floats(-0.5, 0.5),
+)
+@example(log2N=11, half_width=10.0, low=0.0, high=1.0, wide_at=0.5, step=0.5,
+         drift=1.0, alpha=3.0, kinked=True, moneyness=0.0)
+@settings(max_examples=30, deadline=None)
+def test_row_formula_matches_the_direct_multiplier_row_by_row(
+    log2N, half_width, low, high, wide_at, step, drift, alpha, kinked, moneyness
+):
+    # rows from r = 0.5 up to r* are too coarse for the band, and one
+    # row whose band is wider than N/4 nodes is too wide for it: the
+    # factored formula must reproduce the direct multiplier on each row.
+    # A kink's Nyquist term at r = 0.5 rightly trips the residual guard,
+    # which reads only that bin, so the guard is lifted to compare rows.
+    g = build_grid(0.0, half_width, log2N)
+    x = g.space_nodes()
+    below = R_STAR * (1 - 1e-9) - 0.5
+    r = 0.5 + below * (low + (high - low) * (1.0 + np.tanh(x / half_width * 3.0)) / 2.0)
+    wide = int(wide_at * (g.N - 1))
+    r[wide] = g.N / (8 * spectral_module.BAND_STDS) + 1.0
+    assert 2 * math.ceil(spectral_module.BAND_STDS * r[wide] + 0.5) + 1 >= g.N / 4
+    vol = r * g.dx / math.sqrt(step)
+    drifts = drift * np.cos(np.arange(g.N))
+    if kinked:
+        eta, coeffs = _kinked_payoff(g, math.exp(moneyness * half_width))
+        alpha = coeffs.alpha
+    else:
+        eta = np.exp(-((5.0 * x / half_width) ** 2)) * np.cos(x)
+    kinds = (EXPECTATION, GRADIENT)
+    with _routes() as routes, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral_module, "IMAG_RESIDUAL_TOLERANCE", math.inf)
+        results = convolve_step_statedep(eta, g, step, drifts, vol, alpha, kinds)
+    assert routes == {"band": set(), "formula": set(range(g.N))}
+    for (theta, _), kind in zip(results, kinds):
+        ref = _row_by_row(eta, g, step, drifts, vol, alpha, kind)
+        assert np.max(np.abs(theta - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_rows_just_below_the_band_resolution_keep_the_row_formula():
