@@ -31,6 +31,7 @@ from .pricing import (
     MarketParams,
     PriceBoundBreach,
     build_pricing_problem,
+    check_delta_bounds,
     check_domain_coverage,
     check_price_bounds,
     extract_delta,
@@ -82,6 +83,7 @@ __all__ = [
     "DomainCoverageBreach",
     "PriceBoundBreach",
     "build_pricing_problem",
+    "check_delta_bounds",
     "check_domain_coverage",
     "check_price_bounds",
     "extract_delta",

@@ -14,8 +14,8 @@ writes.
 Exit codes: 0 success, 2 configuration error (including an unread flag
 and a request too large to store), 3 numerical abort (including a
 log-price domain too narrow for the volatility or too wide for float64
-accuracy, a price outside the no-arbitrage bounds and a ``table`` with
-a failed cell).
+accuracy, a price or delta outside the no-arbitrage bounds and a
+``table`` with a failed cell).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .pricing import (
     MarketParams,
     PriceBoundBreach,
     build_pricing_problem,
+    check_delta_bounds,
     check_domain_coverage,
     check_price_bounds,
     extract_delta,
@@ -244,15 +245,16 @@ def _solve_market(market: MarketParams, numerics: Numerics, full_surface=False):
 
     Only ``paths`` reads past row 0, so every other command keeps the
     start row alone.  Before the solve the half-width must cover the
-    volatility (DomainCoverageBreach); after it the price at the start
-    node is checked against the static no-arbitrage bounds
-    (PriceBoundBreach).  Both map to exit code 3.
+    volatility (DomainCoverageBreach); after it the price and the delta
+    at the start node are checked against their static no-arbitrage
+    bounds (PriceBoundBreach).  Both map to exit code 3.
     """
     check_domain_coverage(market, numerics.half_width)
     problem = build_pricing_problem(market, numerics.n, numerics.scheme)
     grid = build_grid(problem.x_init, numerics.half_width, numerics.log2N)
     surface = solve(problem, grid, full_surface=full_surface)
     check_price_bounds(value_at_start(surface)[0], market)
+    check_delta_bounds(extract_delta(surface, market), market)
     return problem, surface
 
 

@@ -25,6 +25,15 @@ STYLES = (STYLE_EUROPEAN, STYLE_AMERICAN)
 # discretization error of prices close to a bound (about 1e-3 at
 # S0 = 100, n = 1000); a breach beyond it is a wrong answer.
 BOUND_SLACK = 1e-4
+# Slack on the static delta bounds.  Over 144 markets (S0 = 100, strikes
+# 20, 50, 90, 100, 150 and 400, sigma 0.05, 0.2 and 0.6 at half-widths
+# 0.8, 2.5 and 5, both styles, div 0 and 5%, both schemes, n = 200,
+# 2^10 nodes) the largest overshoot of a bound is 2.4e-4, a deep
+# in-the-money delta above 1.  That overshoot is time-stepping error:
+# at K = 20 it is 4.9e-3 at n = 10 and 4.9e-5 at n = 1000, and at n = 200
+# it grows to 1.9e-3 at mu = 0.5, so coarse solves of such markets
+# breach this slack.
+DELTA_SLACK = 1e-3
 # Log-price standard deviations sigma*sqrt(T) the half-width must span.
 # At n = 1000, N = 4096 and half-width 5 the ATM price is accurate to
 # 7.8e-6 relative at sigma = 1.0 (ratio 5) and 1.3e-4 at sigma = 1.1,
@@ -217,4 +226,26 @@ def check_price_bounds(price: float, params: MarketParams) -> None:
             f"0 <= C <= {name} = {upper:.6g} (slack {slack:.3g}); "
             "the grid may truncate the increment law: widen --half-width "
             "or check the market parameters"
+        )
+
+
+def check_delta_bounds(delta: float, params: MarketParams) -> None:
+    """Raise PriceBoundBreach unless delta is a possible call delta.
+
+    A call gains at most what the stock it delivers gains: its delta
+    lies in [0, exp(-div T)] for European style and in [0, 1] for
+    American style, within DELTA_SLACK.  A delta outside them usually
+    means the log-price domain truncates the increment law, or a time
+    step too coarse for the market.
+    """
+    if params.style == STYLE_EUROPEAN:
+        upper, name = np.exp(-params.div * params.T), "exp(-div*T)"
+    else:
+        upper, name = 1.0, "1"
+    if not -DELTA_SLACK <= delta <= upper + DELTA_SLACK:
+        raise PriceBoundBreach(
+            f"delta {delta:.6g} is outside the no-arbitrage bounds "
+            f"0 <= delta <= {name} = {upper:.6g} (slack {DELTA_SLACK:g}); "
+            "the grid may truncate the increment law: widen --half-width, "
+            "or raise --n for a finer time step"
         )

@@ -156,11 +156,12 @@ def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> Solut
 
         Scalar a and s share one increment spectrum, built again only
         when they change, and all requested kinds take one real FFT
-        pair; per-node arrays take the row-wise step, which shares phi
-        across the kinds.  Both kernels are looked up through this
-        module's globals, where perfbench wraps them by name.  Returns
-        the recovered node values for each requested kind, the fitted
-        coefficients and the largest imaginary residual seen.
+        pair; per-node arrays take the row-wise step, which builds each
+        row's law once for all kinds.  Both kernels are looked up
+        through this module's globals, where perfbench wraps them by
+        name.  Returns the recovered node values for each requested
+        kind, the fitted coefficients and the largest imaginary residual
+        seen.
         """
         nonlocal law
         coeffs = fit_coefficients(values, grid)

@@ -26,19 +26,26 @@ one ``(theta, residual)`` per kind.  ``convolve_step`` reads phi(nu)
 from an ``IncrementSpectrum`` kept across a solve's steps, so a step
 takes one rfft of its samples and one stacked irfft for all kinds.
 
-``convolve_step_statedep`` gives node x_k its own law and routes row k
-by its resolution r_k = vol_k*sqrt(step)/dx.  A row the grid resolves,
-r_k >= BAND_MIN_RESOLUTION (about 1.932) with a band narrower than N/4
-nodes, sums eta against the sampled, tilted increment density within
-BAND_STDS standard deviations of its mean: O(band) work.  The sampled
-kernel folds the multiplier beyond pi/dx back onto the grid, a tail of
-exp(-pi^2 r^2 / 2) relative to nu = 0, which at r* falls to the
-residual tolerance.  Every other row sums the real-FFT formula out,
-O(N) work, with phi_k(nu - i*alpha) factored into a scalar, a phase and
-a real Gaussian, so a row takes about sqrt(2N) complex exponentials and
-one real exponential per frequency for all kinds.  The Nyquist residual
-of every row is measured on either route, from the one evaluation of
-phi the step makes.
+``convolve_step_statedep`` gives node x_k its own law, computed once
+per call as three arrays: var_k = vol_k^2*step, the tilted mean
+shift_k = drift_k*step + var_k*alpha and
+scale_k = exp(alpha*(drift_k*step + var_k*alpha/2)), so that
+
+    phi_k(nu - i*alpha) = scale_k * exp(i*nu*shift_k - var_k*nu^2/2).
+
+Row k is routed by its resolution r_k = vol_k*sqrt(step)/dx.  A row the
+grid resolves, r_k >= BAND_MIN_RESOLUTION (about 1.932) with a band
+narrower than N/4 nodes, sums eta against that law sampled in real
+space within BAND_STDS standard deviations of shift_k: O(band) work.
+The sampled kernel folds the multiplier beyond pi/dx back onto the
+grid, a tail of exp(-pi^2 r^2 / 2) relative to nu = 0, which at r*
+falls to the residual tolerance.  Every other row sums the real-FFT
+formula out, O(N) work, with the law's phase built from about sqrt(2N)
+complex exponentials and its Gaussian from one real exponential per
+frequency.  Either route returns the expectation E_k and, for a
+gradient, the derivative term D_k, and theta_Z = vol*(alpha*E + D)
+follows in real space.  The Nyquist term of every row's residual comes
+from the same three arrays, with no call of ``increment_cf``.
 
 ``dft`` and ``idft`` state the DFT convention: the forward transform
 carries the 1/N factor, the inverse none.
@@ -127,7 +134,7 @@ def _kind_rows(expectation, i_nu, alpha, vol, kinds) -> np.ndarray:
     """The psi multiplier of each kind, stacked on a new leading axis.
 
     ``expectation`` holds psi_E = phi(nu - i*alpha) with phi the
-    step's ``increment_cf`` and ``i_nu`` the frequencies times i; row j
+    step's increment law and ``i_nu`` the frequencies times i; row j
     is psi_E for an EXPECTATION tag and psi_Z = vol*(alpha + i*nu)*psi_E
     for a GRADIENT tag, the martingale-increment functional estimating
     vol * d/dx of the expectation.  vol is a scalar or a column
@@ -260,26 +267,28 @@ def convolve_step(eta: np.ndarray, spectrum: IncrementSpectrum, alpha: float, ki
     return [_guard(theta, abs(row[-1].imag), N) for theta, row in zip(thetas, products)]
 
 
-def _row_formula(thetas, rows, eta_hat, grid, step, drift, vol, alpha, kinds):
-    """Rows ``rows`` of theta by the real-FFT formula summed out.
+def _row_formula(sums, rows, eta_hat, grid, law):
+    """Rows ``rows`` of the per-row sums by the real-FFT formula summed out.
 
     theta_k = (1/N) sum_m c_m Re(exp(2*pi*i*m*k/N) psi_k(nu_m) F_m) with
-    F = rfft(eta) and c = 1, 2, ..., 2, 1.  Row k's expectation
-    multiplier factors as
+    F = rfft(eta) and c = 1, 2, ..., 2, 1.  With ``law`` the per-row
+    (var, shift, scale) of ``convolve_step_statedep``, row k's
+    expectation multiplier is
 
-        psi_E(nu) = C_k * exp(i*nu*mu_k) * exp(-vol_k^2*step*nu^2/2),
+        psi_E(nu) = scale_k * exp(i*nu*shift_k) * exp(-var_k*nu^2/2),
 
-    C_k = exp(step*alpha*(drift_k + vol_k^2*alpha/2)) and
-    mu_k = step*(drift_k + vol_k^2*alpha), so one array
-    X_km = exp(i*nu_m*(k*dx + mu_k)) exp(-vol_k^2*step*nu_m^2/2) c_m F_m/N
-    serves both kinds: theta_E = C_k sum Re X and
-    theta_Z = vol_k C_k (alpha sum Re X - sum nu Im X).  The phase is
-    the outer product of a coarse table over m = q*B and a fine table
-    over m = r < B, B about sqrt(N/2), each carrying its exact root of
-    unity exp(2*pi*i*(k*m mod N)/N); a row costs about sqrt(2N) complex
+    so one array
+    X_km = exp(i*nu_m*(k*dx + shift_k)) exp(-var_k*nu_m^2/2) c_m F_m/N
+    gives the expectation sums[0, k] = scale_k sum Re X and, when
+    ``sums`` has a second row, the derivative term
+    sums[1, k] = -scale_k sum nu Im X.  The phase is the outer product
+    of a coarse table over m = q*B and a fine table over m = r < B,
+    B about sqrt(N/2), each carrying its exact root of unity
+    exp(2*pi*i*(k*m mod N)/N); a row costs about sqrt(2N) complex
     exponentials and N/2+1 real ones, in blocks of
     ``_FORMULA_BLOCK_ROWS`` rows.
     """
+    var, shift, scale = law
     N = grid.N
     m_coarse, m_fine = _split_frequencies(eta_hat.size)
     size = m_coarse.size * m_fine.size
@@ -287,70 +296,59 @@ def _row_formula(thetas, rows, eta_hat, grid, step, drift, vol, alpha, kinds):
     half_nu_sq = 0.5 * nu * nu
     # w = c_m F_m / N, zero beyond m = N/2.  Over the (re, im) pairs of
     # p = phase * Gaussian, sum Re(p*w) is a real dot product with the
-    # pairs of conj(w), and sum Im(p*nu*w) one with those of i*nu*conj(w)
+    # pairs of conj(w), and -sum Im(p*nu*w) one with those of -i*nu*conj(w)
     weight = np.zeros(size, dtype=complex)
     weight[: eta_hat.size] = np.conj(eta_hat) * (2.0 / N)
     weight[[0, eta_hat.size - 1]] /= 2.0
-    re_weights = weight.view(float)
-    nu_im_weights = (1j * nu * weight).view(float)
+    weights = np.stack((weight, -1j * nu * weight)).view(float)[: len(sums)].T
     roots = np.exp((2j * np.pi / N) * np.arange(N))
     # work arrays shared by every block
     phases = np.empty((_FORMULA_BLOCK_ROWS, m_coarse.size, m_fine.size), dtype=complex)
     gaussians = np.empty((_FORMULA_BLOCK_ROWS, size))
     for start in range(0, rows.size, _FORMULA_BLOCK_ROWS):
         k = rows[start : start + _FORMULA_BLOCK_ROWS]
-        var = vol[k] ** 2 * step
-        mu = step * drift[k] + var * alpha
         coarse, fine = (
-            roots[np.outer(k, m) % N] * np.exp(1j * grid.dnu * np.outer(mu, m))
+            roots[np.outer(k, m) % N] * np.exp(1j * grid.dnu * np.outer(shift[k], m))
             for m in (m_coarse, m_fine)
         )
         p = np.multiply(coarse[:, :, None], fine[:, None, :], out=phases[: k.size])
         p = p.reshape(k.size, size)
-        g = np.multiply.outer(-var, half_nu_sq, out=gaussians[: k.size])
+        g = np.multiply.outer(-var[k], half_nu_sq, out=gaussians[: k.size])
         p *= np.exp(g, out=g)
-        pairs = p.view(float)
-        scale = np.exp(alpha * (step * drift[k] + 0.5 * var * alpha))
-        expectation = scale * (pairs @ re_weights)
-        for row, kind in zip(thetas, kinds):
-            if kind == EXPECTATION:
-                row[k] = expectation
-            else:
-                row[k] = vol[k] * (alpha * expectation - scale * (pairs @ nu_im_weights))
+        sums[:, k] = scale[k] * (p.view(float) @ weights).T
 
 
-def _banded_sum(thetas, rows, half_widths, eta, grid, step, drift, vol, alpha, kinds):
-    """Rows ``rows`` of theta against the sampled, tilted increment density.
+def _banded_sum(sums, rows, half_widths, eta, grid, law):
+    """Rows ``rows`` of the per-row sums against the sampled, tilted increment law.
 
-    Row k sums eta_{k+j} (indices mod N) over node offsets w = j*dx
-    within ``half_widths[k]`` nodes of the tilted mean
-    (drift_k + alpha*vol_k^2)*step, weighted by the expectation kernel
+    With ``law`` the per-row (var, shift, scale) of
+    ``convolve_step_statedep``, row k sums eta_{k+j} (indices mod N)
+    over node offsets w = j*dx within ``half_widths[k]`` nodes of
+    shift_k, weighted by phi_k(nu - i*alpha) sampled in real space,
 
-        dx*exp(alpha*w - (w - drift_k*step)^2/(2*vol_k^2*step)) / sqrt(2*pi*vol_k^2*step)
+        scale_k * exp(-(w - shift_k)^2 / (2*var_k)) * dx / sqrt(2*pi*var_k),
 
-    and, for the gradient, by that times (w - drift_k*step)/(vol_k*step).
-    Every row takes the widest band; a block holds about
-    ``_ROW_BLOCK`` * (N/2 + 1) entries.
+    into the expectation sums[0, k]; when ``sums`` has a second row, the
+    derivative term sums[1, k] takes the same terms times
+    (w - shift_k)/var_k.  Every row takes the widest band; a block holds
+    about ``_ROW_BLOCK`` * (N/2 + 1) entries.
     """
+    var, shift, scale = law
     N, dx = grid.N, grid.dx
     width = 2 * int(np.max(half_widths[rows])) + 1
     offsets = np.arange(width)
     wrapped = np.concatenate((eta, eta[: width - 1]))
     block = max(1, _ROW_BLOCK * (N // 2 + 1) // width)
     for start in range(0, rows.size, block):
-        k = rows[start : start + block, None]
-        mean = drift[k] * step
-        var = vol[k] ** 2 * step
-        lead = np.rint((mean + alpha * var) / dx)
-        first = lead - width // 2
-        w = (first + offsets) * dx
-        centred = w - mean
-        density = np.exp(alpha * w - centred**2 / (2.0 * var))
-        weighted = density * (dx / np.sqrt(2.0 * np.pi * var))
-        weighted *= wrapped[((k + first) % N).astype(int) + offsets]
-        for row, kind in zip(thetas, kinds):
-            terms = weighted if kind == EXPECTATION else weighted * centred / (vol[k] * step)
-            row[k[:, 0]] = terms.sum(axis=1)
+        k = rows[start : start + block]
+        first = np.rint(shift[k, None] / dx) - width // 2
+        centred = (first + offsets) * dx - shift[k, None]
+        weighted = np.exp(centred**2 / (-2.0 * var[k, None]))
+        weighted *= (scale[k] * dx / np.sqrt(2.0 * np.pi * var[k]))[:, None]
+        weighted *= wrapped[((k[:, None] + first) % N).astype(int) + offsets]
+        sums[0, k] = weighted.sum(axis=1)
+        if len(sums) > 1:
+            sums[1, k] = (weighted * centred).sum(axis=1) / var[k]
 
 
 def convolve_step_statedep(
@@ -366,35 +364,50 @@ def convolve_step_statedep(
     coefficient and its first such node; step, alpha and the kinds are
     shared by every row.
 
-    Each row takes one of two routes by its resolution
+    Row k's tilted law phi_k(nu - i*alpha) is
+    scale_k * exp(i*nu*shift_k - var_k*nu^2/2) with var_k = vol_k^2*step,
+    shift_k = drift_k*step + var_k*alpha and
+    scale_k = exp(alpha*(drift_k*step + var_k*alpha/2)), computed once
+    per call.  Each row takes one of two routes by its resolution
     r_k = vol_k*sqrt(step)/dx.  A row with r_k >= BAND_MIN_RESOLUTION
     whose band of 2*ceil(BAND_STDS*r_k + 1/2) + 1 nodes is narrower than
     N/4 sums eta against its sampled, tilted increment density, O(band)
     work per row.  Every other row sums out the real-FFT formula, O(N)
-    work per row.  Either way one rfft gives F_{N/2}, and each kind's
-    residual guard takes the largest per-row Nyquist term
-    |Im(psi_k(nu_{N/2}) F_{N/2})| / N over all rows.  Returns one
-    ``(theta, residual)`` per kind like ``convolve_step``.
+    work per row.  Both routes return the expectation E_k and, when a
+    gradient is requested, the derivative term D_k, and each kind
+    follows from them: theta_E = E and theta_Z = vol*(alpha*E + D).  One
+    rfft gives F_{N/2}, and each kind's residual guard takes the
+    largest per-row Nyquist term |Im(psi_k(nu_{N/2}) F_{N/2})| / N over
+    all rows.  Returns one ``(theta, residual)`` per kind like
+    ``convolve_step``.
     """
     eta = _check_eta(eta, grid)
+    if not step > 0:
+        raise ValueError("step must be positive")
     N = grid.N
     drift = _per_row(drift, N, "drift")
     vol = _per_row(vol, N, "vol", positive=True)
+    var = vol * vol * step
+    mean = drift * step
+    law = (var, mean + var * alpha, np.exp(alpha * (mean + 0.5 * var * alpha)))
 
     eta_hat = np.fft.rfft(eta)
     nu_max = grid.frequencies()[-1]
-    phi_max = increment_cf(nu_max - 1j * alpha, step, drift, vol)
-    nyquist = _kind_rows(phi_max, 1j * nu_max, alpha, vol, kinds) * eta_hat[-1]
+    psi_max = law[2] * np.exp(1j * nu_max * law[1] - 0.5 * var * nu_max**2)
+    nyquist = _kind_rows(psi_max, 1j * nu_max, alpha, vol, kinds) * eta_hat[-1]
 
     resolution = vol * math.sqrt(step) / grid.dx
     half_widths = np.ceil(BAND_STDS * resolution + 0.5)
     banded = (resolution >= BAND_MIN_RESOLUTION) & (2 * half_widths + 1 < N / 4)
-    thetas = np.empty((len(kinds), N))
+    sums = np.empty((1 + (GRADIENT in kinds), N))
     rows = np.flatnonzero(banded)
     if rows.size:
-        _banded_sum(thetas, rows, half_widths, eta, grid, step, drift, vol, alpha, kinds)
-    rows = np.flatnonzero(~banded)
-    _row_formula(thetas, rows, eta_hat, grid, step, drift, vol, alpha, kinds)
+        _banded_sum(sums, rows, half_widths, eta, grid, law)
+    _row_formula(sums, np.flatnonzero(~banded), eta_hat, grid, law)
+    thetas = (
+        sums[0] if kind == EXPECTATION else vol * (alpha * sums[0] + sums[1])
+        for kind in kinds
+    )
     return [
         _guard(theta, float(np.max(np.abs(row.imag))), N)
         for theta, row in zip(thetas, nyquist)

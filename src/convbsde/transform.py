@@ -39,6 +39,12 @@ SLOPE_TIE_TOLERANCE = 5e-6
 # magnitudes in the non-degenerate branch.
 SLOPE_MARGIN = 5.0
 
+# Largest |alpha*x| the dampening exp(-alpha*x) may reach at the domain
+# end where it is largest.  Beyond it exp overflows float64, or
+# underflows at both ends, and kappa, which divides by the difference of
+# the two end values, is lost.
+MAX_DAMPENING_EXPONENT = float(np.log(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class TransformCoefficients:
@@ -62,7 +68,9 @@ def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficien
     forward at x_0, backward at x_N.  With beta = SLOPE_MARGIN +
     max(|slope_a|, |slope_b|), alpha and kappa follow from matching
     values and slopes at the endpoints; a slope so steep that float64
-    rounds most of the margin away is a ValueError.  When the two slopes
+    rounds most of the margin away is a ValueError, and so is an alpha
+    whose dampening exp(-alpha*x) leaves float64 range at a domain end
+    (|alpha*x| above MAX_DAMPENING_EXPONENT).  When the two slopes
     differ by at most SLOPE_TIE_TOLERANCE * beta that fit is worse
     conditioned than the slope gap it removes, so the linear trend alone
     periodizes the samples instead: alpha = kappa = 0 with
@@ -102,6 +110,13 @@ def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficien
     # Both log arguments are above SLOPE_MARGIN / 2 because beta
     # dominates the slope magnitudes by more than that.
     alpha = np.log((slope_b + beta) / (slope_a + beta)) / (b - a)
+    # exp(-alpha*x) is largest at this end of the domain
+    end = a if alpha > 0 else b
+    if not abs(alpha * end) <= MAX_DAMPENING_EXPONENT:
+        raise ValueError(
+            f"dampening alpha = {alpha:.6g} takes exp(-alpha*x) out of float64 "
+            f"range: exp({-alpha * end:.6g}) at the domain end x = {end:.6g}"
+        )
     ea = np.exp(-alpha * a)
     eb = np.exp(-alpha * b)
     kappa = (eb * (samples[-1] + beta * b) - ea * (samples[0] + beta * a)) / (ea - eb)
@@ -126,13 +141,7 @@ def apply_transform(
     return (samples + coeffs.beta * x + coeffs.kappa) / regrow, regrow
 
 
-def adjustment_H(
-    x,
-    coeffs: TransformCoefficients,
-    kind: str,
-    forward_drift: float = 0.0,
-    forward_vol: float = 1.0,
-):
+def adjustment_H(x, coeffs: TransformCoefficients, kind: str, forward_drift, forward_vol):
     """Image of the injected linear term under the convolution step.
 
     Subtracting H from the regrown output exp(alpha*x)*theta undoes the

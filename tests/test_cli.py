@@ -13,6 +13,7 @@ import re
 import shlex
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from convbsde import (
     simulate_paths,
     solve,
 )
-from convbsde.pricing import MAX_HALF_WIDTH
+from convbsde.pricing import DELTA_SLACK, MAX_HALF_WIDTH
 from convbsde.cli import RunConfig, build_parser, load_config, main
 
 
@@ -296,6 +297,46 @@ def test_price_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, ca
 
 
 @pytest.mark.parametrize(
+    "flags, bound",
+    [
+        # rate 0.5 moves the risk-neutral log price by about 0.5 over
+        # T = 1, twice the half-width: price 37.954 against Black-Scholes
+        # 39.347
+        (["--rate", "0.5", "--borrow-rate", "0.5", "--sigma", "0.05",
+          "--half-width", "0.25"],
+         "delta 1.12175 is outside the no-arbitrage bounds "
+         "0 <= delta <= exp(-div*T) = 1 "),
+        # div 0.5 moves it by about -0.5: price 1.568 against 2e-23
+        (["--div", "0.5", "--sigma", "0.05", "--half-width", "0.25"],
+         "delta -0.18767 is outside the no-arbitrage bounds "
+         "0 <= delta <= exp(-div*T) = 0.606531 "),
+    ],
+    ids=["rate", "div"],
+)
+def test_delta_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, capsys):
+    # both prices lie inside their static bounds and used to print with
+    # exit 0; only the delta shows the law left the grid
+    rc = main(["price", *flags])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert bound in captured.err
+    assert "--half-width" in captured.err
+
+
+def test_overflowing_dampening_aborts_without_a_runtime_warning(capsys):
+    # a half-width of 0.01 fits alpha = -234 three steps in; exp(-alpha*x)
+    # used to overflow with RuntimeWarnings before kappa was found non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["price", "--sigma", "0.001", "--n", "5", "--half-width", "0.01"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "solve aborted at step 3: dampening alpha = -233.95 takes exp(-alpha*x)" in captured.err
+    assert "at the domain end x = 4.61517" in captured.err
+
+
+@pytest.mark.parametrize(
     "flags, ratio",
     [
         (["--sigma", "1.5"], "3.33"),
@@ -424,8 +465,8 @@ def test_widening_the_domain_passes_the_coverage_check(capsys):
 def test_every_market_prices_in_bounds_or_fails_with_a_message(
     S0, K, r, spread, mu, div, sigma, T, style, half_width, log2N, n
 ):
-    # ends with exit 0 and a price inside the static bounds, or exit 2
-    # or 3 and a message; an uncaught exception fails the test
+    # ends with exit 0 and a price and delta inside the static bounds,
+    # or exit 2 or 3 and a message; an uncaught exception fails the test
     argv = ["price", "--n", str(n), "--log2N", str(log2N), "--style", style]
     for flag, value in (
         ("--spot", S0), ("--strike", K), ("--rate", r), ("--borrow-rate", r + spread),
@@ -440,11 +481,12 @@ def test_every_market_prices_in_bounds_or_fails_with_a_message(
             rc = main([*argv, "--out", str(out)])
         rows = _read_csv(out) if rc == 0 else None
     if rc == 0:
-        price = float(rows[0]["price"])
-        upper = S0 * np.exp(-div * T) if style == STYLE_EUROPEAN else S0
+        price, delta = float(rows[0]["price"]), float(rows[0]["delta"])
+        share = np.exp(-div * T) if style == STYLE_EUROPEAN else 1.0
         slack = 1e-4 * S0
         assert np.isfinite(price)
-        assert -slack <= price <= upper + slack
+        assert -slack <= price <= S0 * share + slack
+        assert -DELTA_SLACK <= delta <= share + DELTA_SLACK
     else:
         assert rc in (2, 3)
         prefix = "config error: " if rc == 2 else "numerical abort: "

@@ -17,13 +17,14 @@ from convbsde import (
     black_scholes_call,
     build_grid,
     build_pricing_problem,
+    check_delta_bounds,
     check_domain_coverage,
     check_price_bounds,
     extract_delta,
     solve,
     value_at_start,
 )
-from convbsde.pricing import COVERAGE_STDEVS, MAX_HALF_WIDTH, MAX_LOG_PRICE
+from convbsde.pricing import COVERAGE_STDEVS, DELTA_SLACK, MAX_HALF_WIDTH, MAX_LOG_PRICE
 
 
 def test_market_defaults():
@@ -152,6 +153,22 @@ def test_price_bounds_allow_the_static_range_plus_slack(market, upper, bound):
     for price in (-2 * slack, upper + 2 * slack, float("nan")):
         with pytest.raises(PriceBoundBreach, match=rf"C <= {re.escape(bound)} ") as info:
             check_price_bounds(price, market)
+        assert "--half-width" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "market, upper, bound",
+    [
+        (MarketParams(div=0.5, T=2.0), np.exp(-1.0), "exp(-div*T)"),
+        (MarketParams(div=0.5, T=2.0, style=STYLE_AMERICAN), 1.0, "1"),
+    ],
+)
+def test_delta_bounds_allow_the_static_range_plus_slack(market, upper, bound):
+    for delta in (-DELTA_SLACK, 0.0, upper, upper + DELTA_SLACK):
+        check_delta_bounds(delta, market)
+    for delta in (-2 * DELTA_SLACK, upper + 2 * DELTA_SLACK, float("nan")):
+        with pytest.raises(PriceBoundBreach, match=rf"delta <= {re.escape(bound)} ") as info:
+            check_delta_bounds(delta, market)
         assert "--half-width" in str(info.value)
 
 

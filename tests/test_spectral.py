@@ -346,6 +346,15 @@ def test_statedep_names_the_first_non_positive_vol_node(bad):
         convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, bad, 0.1, (EXPECTATION,))
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, np.nan])
+def test_statedep_refuses_a_step_that_is_not_positive(step):
+    # the per-row law is built from step directly, so the kernel checks
+    # it itself before any row is summed
+    g = build_grid(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="step must be positive"):
+        convolve_step_statedep(np.ones(g.N), g, step, 0.0, 1.0, 0.1, (EXPECTATION, GRADIENT))
+
+
 def test_psi_rejects_unknown_tag():
     g = build_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="unknown psi tag"):

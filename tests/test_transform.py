@@ -134,6 +134,23 @@ def test_fit_refuses_a_slope_that_rounds_the_margin_away():
             fit_coefficients(samples, g)
 
 
+@pytest.mark.parametrize("center", [-np.log(100.0), np.log(100.0)])
+def test_fit_refuses_a_dampening_beyond_float64_range(center):
+    # a steep right-edge slope on a narrow domain fits alpha = ln(2)/l,
+    # about 350: exp(-alpha*x) overflows on both ends left of the origin
+    # and underflows on both ends right of it, leaving kappa non-finite.
+    # The fit names alpha and the left end, where exp(-alpha*x) is
+    # largest, without a RuntimeWarning
+    g = build_grid(center, 1e-3, 6)
+    samples = np.zeros(g.N + 1)
+    samples[-1] = 1e6 * g.dx
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"dampening alpha = 34\d\.\d+ takes") as info:
+            fit_coefficients(samples, g)
+    assert f"at the domain end x = {g.x0:.6g}" in str(info.value)
+
+
 def test_apply_transform_takes_one_sample_per_dft_node():
     g = build_grid(0.0, 1.0, 5)
     xs = g.space_nodes(include_right=True)
@@ -195,14 +212,14 @@ def test_adjustment_closed_forms():
     c = TransformCoefficients(alpha=0.0, beta=2.0, kappa=1.5)
     x = np.array([-1.0, 0.0, 2.0])
     # alpha = 0: expectation image is beta*(x + drift*step) + kappa
-    h = adjustment_H(x, c, EXPECTATION, forward_drift=0.25)
+    h = adjustment_H(x, c, EXPECTATION, forward_drift=0.25, forward_vol=1.0)
     assert np.allclose(h, 2.0 * (x + 0.25) + 1.5, rtol=0.0, atol=1e-15)
     # gradient image is beta*vol
-    h = adjustment_H(x, c, GRADIENT, forward_vol=0.4)
+    h = adjustment_H(x, c, GRADIENT, forward_drift=0.0, forward_vol=0.4)
     assert np.allclose(h, 0.8, rtol=0.0, atol=1e-15)
     # alpha does not enter: H is the image after regrowth
     c2 = TransformCoefficients(alpha=0.3, beta=2.0, kappa=1.5)
-    h = adjustment_H(1.0, c2, EXPECTATION, forward_drift=0.0)
+    h = adjustment_H(1.0, c2, EXPECTATION, forward_drift=0.0, forward_vol=1.0)
     assert isinstance(h, float)
     assert h == pytest.approx(3.5, rel=1e-14)
 
@@ -210,7 +227,7 @@ def test_adjustment_closed_forms():
 def test_adjustment_rejects_unknown_kind():
     c = TransformCoefficients(alpha=0.0, beta=1.0, kappa=0.0)
     with pytest.raises(ValueError):
-        adjustment_H(0.0, c, "median")
+        adjustment_H(0.0, c, "median", forward_drift=0.0, forward_vol=1.0)
 
 
 def test_tie_tolerance_constant():
