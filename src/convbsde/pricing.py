@@ -119,12 +119,11 @@ def build_pricing_problem(
     def terminal(x):
         return np.maximum(np.exp(x) - strike, 0.0)
 
-    def driver(t, x, y, z):
-        return (
-            -r * y
-            - (mu - r) / sigma * z
-            + (big_r - r) * np.maximum(z / sigma - y, 0.0)
-        )
+    def linear_driver(t, x, y, z):
+        return -r * y - (mu - r) / sigma * z
+
+    def spread_driver(t, x, y, z):
+        return linear_driver(t, x, y, z) + (big_r - r) * np.maximum(z / sigma - y, 0.0)
 
     drift_value = mu - params.div - 0.5 * sigma * sigma
     barrier = None
@@ -138,7 +137,8 @@ def build_pricing_problem(
         drift=lambda t, x: drift_value,
         vol=lambda t, x: sigma,
         terminal=terminal,
-        driver=driver,
+        # at R = r the spread term is 0 * (z/sigma - y)^+, which adds +0.0
+        driver=spread_driver if big_r > r else linear_driver,
         barrier=barrier,
         scheme=scheme,
     )

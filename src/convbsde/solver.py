@@ -59,15 +59,16 @@ class SolveAborted(RuntimeError):
         super().__init__(f"solve aborted at step {step_index}: {reason}")
 
 
-def _extended_samples(values: np.ndarray) -> np.ndarray:
-    """Append a right-edge sample by linear extension.
+def _extend(samples: np.ndarray) -> np.ndarray:
+    """Fill the right-edge sample samples[N] by linear extension; return samples.
 
     The spectral step computes nodes 0..N-1 only, but the coefficient
     fit needs a sample at x_N for the backward difference there.
     Extending the last two nodes linearly makes that difference equal
     the slope between them.
     """
-    return np.append(values, 2.0 * values[-1] - values[-2])
+    samples[-1] = 2.0 * samples[-2] - samples[-3]
+    return samples
 
 
 def _node_values(coefficient, t: float, x: np.ndarray):
@@ -149,38 +150,44 @@ def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> Solut
     reflection = np.zeros((rows, N)) if reflected else None
     fits = np.empty((4, n))  # alpha, beta, kappa and the residual, per step
     active = np.zeros(n, dtype=int)
-    law = None
+    # the scalar law and the forward mean x + a*dt of the last constant step
+    law = mean = None
 
     def convolve(values, a, s, kinds):
         """Fit, transform and convolve one sample vector under drift a, vol s.
 
-        Scalar a and s share one increment spectrum, built again only
-        when they change, and all requested kinds take one real FFT
-        pair; per-node arrays take the row-wise step, which builds each
-        row's law once for all kinds.  Both kernels are looked up
-        through this module's globals, where perfbench wraps them by
-        name.  Returns the recovered node values for each requested
-        kind, the fitted coefficients and the largest imaginary residual
-        seen.
+        Scalar a and s share one increment spectrum and one forward mean
+        x + a*dt, built again only when they change, and all requested
+        kinds take one real FFT pair; per-node arrays take the row-wise
+        step, which builds each row's law once for all kinds.  Every
+        stage is looked up through this module's globals, where
+        perfbench wraps it by name.  Returns the recovered node values
+        for each requested kind, the fitted coefficients and the largest
+        imaginary residual seen.
         """
-        nonlocal law
+        nonlocal law, mean
         coeffs = fit_coefficients(values, grid)
         eta, regrow = apply_transform(values[:N], x, coeffs)
-        if np.ndim(a) == np.ndim(s) == 0:
+        if isinstance(a, float) and isinstance(s, float):
             if law is None or (law.drift, law.vol) != (a, s):
                 law = IncrementSpectrum(grid, dt, a, s)
+                mean = x + a * dt
             results = convolve_step(eta, law, coeffs.alpha, kinds)
+            nodes, forward_drift = mean, 0.0
         else:
             results = convolve_step_statedep(eta, grid, dt, a, s, coeffs.alpha, kinds)
-        outputs = [
-            regrow * theta
-            - adjustment_H(x, coeffs, kind, forward_drift=a * dt, forward_vol=s)
-            for (theta, _), kind in zip(results, kinds)
-        ]
-        return outputs, coeffs, max(residual for _, residual in results)
+            nodes, forward_drift = x, a * dt
+        for (theta, _), kind in zip(results, kinds):
+            theta *= regrow
+            theta -= adjustment_H(nodes, coeffs, kind, forward_drift, s)
+        return [theta for theta, _ in results], coeffs, max(res for _, res in results)
 
-    # the fit's right-edge sample: the payoff at x_N, then linear extension
+    # the fit's samples: the next row's node values and, at x_N, first
+    # the payoff, then the linear extension.  Each step writes u_i into
+    # u_samples, and scheme I its driver-adjusted values into v_samples.
     samples = g_full
+    u_samples = np.empty(N + 1)
+    v_samples = np.empty(N + 1) if spec.scheme == EXPLICIT_I else None
 
     for i in range(n - 1, -1, -1):
         t = times[i]
@@ -196,32 +203,32 @@ def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> Solut
             else:
                 v_next = samples[:N]
                 (vdot,), _, res1 = convolve(samples, a, s, (GRADIENT,))
-                vtilde = v_next + dt * spec.driver(t, x, v_next, vdot)
-                (raw,), coeffs, res2 = convolve(
-                    _extended_samples(vtilde), a, s, (EXPECTATION,)
-                )
+                np.add(v_next, dt * spec.driver(t, x, v_next, vdot), out=v_samples[:N])
+                (raw,), coeffs, res2 = convolve(_extend(v_samples), a, s, (EXPECTATION,))
                 udot_i = vdot
                 residual = max(res1, res2)
         except (ImaginaryResidualError, ValueError) as exc:
             raise SolveAborted(i, str(exc)) from exc
 
+        u_i = u_samples[:N]
         if reflected:
             b = np.asarray(spec.barrier(t, x), dtype=float)
-            increments = np.maximum(b - raw, 0.0)
-            active[i] = np.count_nonzero(increments)
-            reflection[row] = increments
-            u_i = np.maximum(raw, b)
+            np.maximum(raw, b, out=u_i)
+            # u_i - raw equals max(b - raw, 0) bit for bit, and is
+            # nonzero exactly where u_i differs from raw
+            np.subtract(u_i, raw, out=reflection[row])
+            active[i] = np.count_nonzero(u_i != raw)
         else:
-            u_i = raw
+            u_i[...] = raw
 
-        if not (np.all(np.isfinite(u_i)) and np.all(np.isfinite(udot_i))):
+        if not (np.isfinite(u_i).all() and np.isfinite(udot_i).all()):
             raise SolveAborted(i, "non-finite solution values")
 
         u[row] = u_i
         udot[row] = udot_i
         fits[:, i] = coeffs.alpha, coeffs.beta, coeffs.kappa, residual
 
-        samples = _extended_samples(u_i)
+        samples = _extend(u_samples)
 
     return SolutionSurface(
         grid=grid,

@@ -130,22 +130,22 @@ def increment_cf(nu, step: float, drift, vol):
     return out if out.ndim else complex(out)
 
 
-def _kind_rows(expectation, i_nu, alpha, vol, kinds) -> np.ndarray:
+def _kind_rows(expectation, vol_i_nu, vol_alpha, kinds) -> np.ndarray:
     """The psi multiplier of each kind, stacked on a new leading axis.
 
     ``expectation`` holds psi_E = phi(nu - i*alpha) with phi the
-    step's increment law and ``i_nu`` the frequencies times i; row j
-    is psi_E for an EXPECTATION tag and psi_Z = vol*(alpha + i*nu)*psi_E
-    for a GRADIENT tag, the martingale-increment functional estimating
-    vol * d/dx of the expectation.  vol is a scalar or a column
-    broadcasting against ``expectation``.
+    step's increment law, ``vol_i_nu`` the frequencies times i*vol and
+    ``vol_alpha`` vol*alpha; row j is psi_E for an EXPECTATION tag and
+    psi_Z = vol*(alpha + i*nu)*psi_E for a GRADIENT tag, the
+    martingale-increment functional estimating vol * d/dx of the
+    expectation.  Both vol products broadcast against ``expectation``.
     """
     rows = np.empty((len(kinds),) + expectation.shape, dtype=complex)
     for row, kind in zip(rows, kinds):
         if kind == EXPECTATION:
             row[...] = expectation
         elif kind == GRADIENT:
-            np.multiply(vol * (alpha + i_nu), expectation, out=row)
+            np.multiply(vol_i_nu + vol_alpha, expectation, out=row)
         else:
             raise ValueError(f"unknown psi tag: {kind!r}")
     return rows
@@ -180,7 +180,7 @@ def _per_row(value, N: int, name: str, positive: bool = False) -> np.ndarray:
 
 def _guard(theta: np.ndarray, nyquist_imag: float, N: int):
     """Relative imaginary residual from the Nyquist bin; raise above tolerance."""
-    max_re = max(float(np.max(np.abs(theta))), 1e-300)
+    max_re = max(np.abs(theta).max(), 1e-300)
     residual = nyquist_imag / N / max_re
     if residual > IMAG_RESIDUAL_TOLERANCE:
         raise ImaginaryResidualError(residual, IMAG_RESIDUAL_TOLERANCE)
@@ -223,7 +223,7 @@ class IncrementSpectrum:
         self.vol = float(vol)
         nu = grid.frequencies()
         self._phi = increment_cf(nu, step, self.drift, self.vol)
-        self._i_nu = 1j * nu
+        self._vol_i_nu = self.vol * (1j * nu)
         self._coarse, self._fine = _split_frequencies(nu.size)
 
     def multipliers(self, alpha: float, kinds) -> np.ndarray:
@@ -239,7 +239,7 @@ class IncrementSpectrum:
         fine = np.exp(1j * rate * self._fine)
         expectation = np.multiply.outer(coarse, fine).ravel()[: self._phi.size]
         expectation *= self._phi
-        return _kind_rows(expectation, self._i_nu, alpha, self.vol, kinds)
+        return _kind_rows(expectation, self._vol_i_nu, self.vol * alpha, kinds)
 
 
 def convolve_step(eta: np.ndarray, spectrum: IncrementSpectrum, alpha: float, kinds):
@@ -394,7 +394,7 @@ def convolve_step_statedep(
     eta_hat = np.fft.rfft(eta)
     nu_max = grid.frequencies()[-1]
     psi_max = law[2] * np.exp(1j * nu_max * law[1] - 0.5 * var * nu_max**2)
-    nyquist = _kind_rows(psi_max, 1j * nu_max, alpha, vol, kinds) * eta_hat[-1]
+    nyquist = _kind_rows(psi_max, vol * (1j * nu_max), vol * alpha, kinds) * eta_hat[-1]
 
     resolution = vol * math.sqrt(step) / grid.dx
     half_widths = np.ceil(BAND_STDS * resolution + 0.5)

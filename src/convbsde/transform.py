@@ -16,6 +16,7 @@ because a closed-form adjustment H then removes its image exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,21 +88,26 @@ def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficien
     TransformCoefficients
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size != grid.N + 1:
+    if samples.shape != (grid.N + 1,):
         raise ValueError(f"samples must have length N+1 = {grid.N + 1}")
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
 
+    # Only the four boundary samples enter, so the fit is scalar
+    # arithmetic on Python floats.  log and exp stay numpy's: math's
+    # round differently in the last bit on a few percent of arguments,
+    # which would move every solved surface by roundoff.
+    first, second = samples.item(0), samples.item(1)
+    before_last, last = samples.item(-2), samples.item(-1)
     a = grid.x0
     b = grid.x0 + grid.l
-    slope_a = (samples[1] - samples[0]) / grid.dx
-    slope_b = (samples[-1] - samples[-2]) / grid.dx
+    slope_a = (second - first) / grid.dx
+    slope_b = (last - before_last) / grid.dx
 
     steepest = max(abs(slope_a), abs(slope_b))
     beta = SLOPE_MARGIN + steepest
     if abs(slope_a - slope_b) <= SLOPE_TIE_TOLERANCE * beta:
-        trend = -(samples[-1] - samples[0]) / (b - a)
-        return TransformCoefficients(alpha=0.0, beta=trend, kappa=0.0)
+        return TransformCoefficients(alpha=0.0, beta=-(last - first) / (b - a), kappa=0.0)
     if not beta - steepest > 0.5 * SLOPE_MARGIN:
         raise ValueError(
             f"boundary slope {steepest:.3g} rounds the slope margin "
@@ -109,7 +115,7 @@ def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficien
         )
     # Both log arguments are above SLOPE_MARGIN / 2 because beta
     # dominates the slope magnitudes by more than that.
-    alpha = np.log((slope_b + beta) / (slope_a + beta)) / (b - a)
+    alpha = float(np.log((slope_b + beta) / (slope_a + beta))) / (b - a)
     # exp(-alpha*x) is largest at this end of the domain
     end = a if alpha > 0 else b
     if not abs(alpha * end) <= MAX_DAMPENING_EXPONENT:
@@ -117,9 +123,9 @@ def fit_coefficients(samples: np.ndarray, grid: GridPair) -> TransformCoefficien
             f"dampening alpha = {alpha:.6g} takes exp(-alpha*x) out of float64 "
             f"range: exp({-alpha * end:.6g}) at the domain end x = {end:.6g}"
         )
-    ea = np.exp(-alpha * a)
-    eb = np.exp(-alpha * b)
-    kappa = (eb * (samples[-1] + beta * b) - ea * (samples[0] + beta * a)) / (ea - eb)
+    ea = float(np.exp(-alpha * a))
+    eb = float(np.exp(-alpha * b))
+    kappa = (eb * (last + beta * b) - ea * (first + beta * a)) / (ea - eb)
     return TransformCoefficients(alpha=alpha, beta=beta, kappa=kappa)
 
 
@@ -135,10 +141,15 @@ def apply_transform(
     if samples.ndim != 1 or samples.shape != np.shape(x):
         raise ValueError(f"samples must have one value per DFT node, {np.size(x)}")
     for name in ("alpha", "beta", "kappa"):
-        if not np.isfinite(getattr(coeffs, name)):
+        if not math.isfinite(getattr(coeffs, name)):
             raise ValueError(f"non-finite coefficient {name}")
-    regrow = np.exp(coeffs.alpha * x)
-    return (samples + coeffs.beta * x + coeffs.kappa) / regrow, regrow
+    regrow = coeffs.alpha * x
+    np.exp(regrow, out=regrow)
+    eta = coeffs.beta * x
+    eta += samples
+    eta += coeffs.kappa
+    eta /= regrow
+    return eta, regrow
 
 
 def adjustment_H(x, coeffs: TransformCoefficients, kind: str, forward_drift, forward_vol):
@@ -150,12 +161,19 @@ def adjustment_H(x, coeffs: TransformCoefficients, kind: str, forward_drift, for
     beta*forward_vol for the gradient.  ``forward_drift`` is the drift
     increment a(t, x)*step of the forward process over one time step and
     ``forward_vol`` its diffusion coefficient; pass 0 and 1 for a pure
-    Brownian problem.
+    Brownian problem.  Only the forward mean x + forward_drift enters,
+    so a caller that keeps it across steps passes it as x with a
+    forward_drift of 0.
+
+    A non-finite H is a ValueError.  The expectation's H is affine in
+    the forward mean, so for nodes x in increasing order and a scalar
+    forward_drift it is finite at every node once it is finite at the
+    two ends, and only those are checked.
 
     Parameters
     ----------
     x : float or ndarray
-        Space node(s) at which to evaluate H.
+        Space node(s) at which to evaluate H, in increasing order.
     coeffs : TransformCoefficients
     kind : {"expectation", "gradient"}
         Which convolution multiplier the step used.
@@ -169,12 +187,22 @@ def adjustment_H(x, coeffs: TransformCoefficients, kind: str, forward_drift, for
     float or ndarray
     """
     x = np.asarray(x, dtype=float)
+    ordered = False
     if kind == EXPECTATION:
-        out = coeffs.beta * (x + forward_drift) + coeffs.kappa
+        ordered = getattr(forward_drift, "ndim", 0) == 0
+        mean = x if ordered and forward_drift == 0 else x + forward_drift
+        out = coeffs.beta * mean
+        out += coeffs.kappa
     elif kind == GRADIENT:
         out = coeffs.beta * np.asarray(forward_vol, dtype=float)
     else:
         raise ValueError(f"unknown adjustment kind: {kind!r}")
-    if not np.all(np.isfinite(out)):
+    if out.ndim == 0:
+        finite = math.isfinite(out)
+    elif ordered:
+        finite = math.isfinite(out.item(0)) and math.isfinite(out.item(-1))
+    else:
+        finite = np.isfinite(out).all()
+    if not finite:
         raise ValueError("non-finite adjustment value")
     return out if out.ndim else float(out)

@@ -106,6 +106,31 @@ def test_driver_kink_only_with_unequal_rates():
     assert got[0] == pytest.approx(-0.01 * 5.0 - 0.2 * 0.5, rel=1e-12)
 
 
+def _spread_formula(m, y, z):
+    """The driver with its borrowing-spread term written out."""
+    return -m.r * y - (m.mu - m.r) / m.sigma * z + (m.R - m.r) * np.maximum(z / m.sigma - y, 0.0)
+
+
+def test_equal_rates_driver_drops_the_spread_term_bit_for_bit():
+    # at R = r the spread term is 0 * (z/sigma - y)^+ and adds +0.0, so
+    # the driver without it returns the same bits; at R > r it stays
+    rng = np.random.default_rng(3)
+    x = np.linspace(3.0, 6.0, 1000)
+    y = 20.0 * rng.standard_normal(x.size)
+    z = 20.0 * rng.standard_normal(x.size)
+    equal = MarketParams(r=0.02, R=0.02)
+    got = build_pricing_problem(equal, 10, EXPLICIT_II).driver(0.0, x, y, z)
+    assert np.array_equal(got, _spread_formula(equal, y, z))
+    spread = MarketParams(r=0.02, R=0.05)
+    got = build_pricing_problem(spread, 10, EXPLICIT_II).driver(0.0, x, y, z)
+    assert np.array_equal(got, _spread_formula(spread, y, z))
+    shortfall = z / spread.sigma > y
+    assert 0 < np.count_nonzero(shortfall) < x.size
+    linear = _spread_formula(dataclasses.replace(spread, R=spread.r), y, z)
+    assert np.all(got[shortfall] > linear[shortfall])
+    assert np.array_equal(got[~shortfall], linear[~shortfall])
+
+
 def test_european_price_and_delta_match_closed_form(pricing_grid):
     m = MarketParams()
     surface = solve(build_pricing_problem(m, 200, EXPLICIT_II), pricing_grid)

@@ -141,19 +141,30 @@ def test_grid_center_must_match_initial_state(small_grid):
         solve(spec, small_grid)
 
 
-def test_non_finite_driver_aborts_with_step_index(small_grid):
+@pytest.mark.parametrize(
+    "scheme, reason",
+    [
+        # scheme I feeds the driver output into the second fit, whose
+        # finiteness check of its samples stops it
+        (EXPLICIT_I, "samples must be finite"),
+        (EXPLICIT_II, "non-finite solution values"),
+    ],
+    ids=[EXPLICIT_I, EXPLICIT_II],
+)
+def test_non_finite_driver_aborts_with_step_index(small_grid, scheme, reason):
     spec = brownian_bsde(
         horizon=0.5,
         steps=10,
         terminal=lambda x: x,
         driver=lambda t, x, y, z: np.full_like(x, np.nan),
+        scheme=scheme,
     )
     with pytest.raises(SolveAborted) as exc_info:
         solve(spec, small_grid)
     err = exc_info.value
     assert isinstance(err, RuntimeError)
     assert err.step_index == 9
-    assert "non-finite" in err.reason
+    assert err.reason == reason
 
 
 def test_value_error_inside_a_step_aborts_with_step_index(small_grid):
@@ -272,19 +283,27 @@ def test_each_step_picks_its_convolution_from_the_node_coefficients(
     # every node takes the shared-spectrum convolution, anything else
     # the per-node one; nothing is declared on the spec.  Each entry
     # point, looked up through the solver's module globals, counts the
-    # convolutions (kinds) it computes.
+    # convolutions (kinds) it computes.  The fit, the transform and the
+    # adjustment are looked up there too, and every step calls each of
+    # them: a stage inlined into the solver would count nothing.
+    kernels = ("convolve_step", "convolve_step_statedep")
+    stages = ("fit_coefficients", "apply_transform", "adjustment_H")
     calls = Counter()
-    for name in ("convolve_step", "convolve_step_statedep"):
+    for name in kernels + stages:
 
-        def counted(*args, _name=name, _fn=getattr(solver_module, name)):
-            calls[_name] += len(args[-1])
-            return _fn(*args)
+        def counted(*args, _name=name, _fn=getattr(solver_module, name), **kwargs):
+            calls[_name] += len(args[-1]) if _name in kernels else 1
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, name, counted)
     spec = dataclasses.replace(_selection_spec(case), scheme=scheme)
     solve(spec, build_grid(spec.x_init, 2.0, 7))
     taken = "convolve_step" if fast else "convolve_step_statedep"
-    assert calls == {taken: 2 * spec.steps}
+    assert {name: calls[name] for name in kernels} == {
+        name: 2 * spec.steps if name == taken else 0 for name in kernels
+    }
+    for name in stages:
+        assert calls[name] >= spec.steps, name
 
 
 @pytest.mark.parametrize("case, builds", [("constant", 1), ("time-varying", 6)])
@@ -455,6 +474,103 @@ def test_schemes_agree_on_smooth_problems(small_grid):
     y1, _ = value_at_start(solve(brownian_bsde(scheme=EXPLICIT_I, **kwargs), small_grid))
     y2, _ = value_at_start(solve(brownian_bsde(scheme=EXPLICIT_II, **kwargs), small_grid))
     assert y1 == pytest.approx(y2, abs=5e-3)
+
+
+# (y0, z0) and the fitted alpha, beta and kappa at steps 0, 7, ..., 49
+# of the default market with a 3.5% dividend, on 2^10 nodes with 50
+# steps, as solved before the constant-coefficient step was last
+# rewritten (numpy 2.4, Linux x86-64).
+_PIN_STEPS = np.arange(0, 50, 7)
+_PINNED = {
+    (EXPLICIT_I, STYLE_EUROPEAN): (
+        (6.615332880028291, 9.514860546330056),
+        [
+            0.07002280031040752, 0.0699957556507492, 0.06996583683052675,
+            0.06993169557419956, 0.06989074124687368, 0.06983695556417645,
+            0.06975024047962002, 0.06931208562049099,
+        ],
+        [
+            12414.319963820652, 12604.009607651085, 12809.063746523858,
+            13034.07230486758, 13286.611136691272, 13581.016160909086,
+            13952.273544520325, 14620.292440377361,
+        ],
+        [
+            141093.22280275266, 143211.69036718624, 145499.48652183585,
+            148008.37735902917, 150824.9477950722, 154116.5931057222,
+            158309.2742097597, 166709.0606510053,
+        ],
+    ),
+    (EXPLICIT_I, STYLE_AMERICAN): (
+        (6.85760099007166, 10.001452542536754),
+        [
+            0.07205243363632029, 0.07180854339555076, 0.07154800916164375,
+            0.07126555879728438, 0.07095236277643598, 0.07059136116532462,
+            0.0701394100701795, 0.06931208562049099,
+        ],
+        [
+            14620.970445320942, 14620.981018759869, 14620.994613319821,
+            14621.012973322719, 14621.03967678044, 14621.083698897623,
+            14621.17817865722, 14620.292440377361,
+        ],
+        [
+            158138.70922973237, 158882.2907044595, 159680.8326625226,
+            160551.52211516403, 161523.11874139516, 162651.15210550124,
+            164076.00939852322, 166709.0606510053,
+        ],
+    ),
+    (EXPLICIT_II, STYLE_EUROPEAN): (
+        (6.621536869158829, 9.501631395399272),
+        [
+            0.07007188270283887, 0.07004681327603308, 0.07001948087260348,
+            0.06998888142445303, 0.06995311682679287, 0.06990784958555045,
+            0.06983876619113752, 0.06929779510114283,
+        ],
+        [
+            12430.833544863388, 12621.758002645709, 12828.355607989059,
+            13055.385200607217, 13310.762494267337, 13609.65408267267,
+            13989.98880305197, 14774.083868982085,
+        ],
+        [
+            141141.44142573516, 143265.55301867993, 145560.16479848934,
+            148077.65433213353, 150905.83826755563, 154215.16344295946,
+            158442.95307910696, 168370.41091281222,
+        ],
+    ),
+    (EXPLICIT_II, STYLE_AMERICAN): (
+        (6.867139244815354, 9.991442750635542),
+        [
+            0.07205260040749425, 0.07181192695324211, 0.0715551901067594,
+            0.07127743259075386, 0.07097046937979476, 0.07061887503636538,
+            0.07018585577768396, 0.06929779510114283,
+        ],
+        [
+            14630.556492244825, 14630.556492244825, 14630.556492244825,
+            14630.556492244825, 14630.556492244825, 14630.556492244825,
+            14630.556492244825, 14774.083868982085,
+        ],
+        [
+            158246.0933824413, 158980.33573139462, 159767.650908475,
+            160624.1993711974, 161576.6366999641, 162675.14996889778,
+            164039.3600404723, 168370.41091281222,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN])
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+def test_constant_step_reproduces_its_pinned_values(scheme, style):
+    # a rewrite of the constant-coefficient step may move these by
+    # roundoff; a lost or sign-flipped term of the fit, the transform,
+    # the multipliers or the adjustment moves them far more
+    spec = build_pricing_problem(MarketParams(style=style, div=0.035), 50, scheme)
+    surface = solve(spec, build_grid(spec.x_init, 5.0, 10))
+    start, *fitted = _PINNED[scheme, style]
+    assert value_at_start(surface) == pytest.approx(start, rel=1e-9, abs=0.0)
+    diagnostics = surface.diagnostics
+    for got, want in zip((diagnostics.alpha, diagnostics.beta, diagnostics.kappa), fitted):
+        want = np.array(want)
+        assert np.max(np.abs(got[_PIN_STEPS] - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_value_at_start_reads_center_node(small_grid):

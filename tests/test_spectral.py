@@ -96,7 +96,7 @@ def test_psi_values_compose_increment_cf():
     alpha, step, drift, vol = 0.3, 0.05, 0.1, 0.8
     shifted = increment_cf(nu - 1j * alpha, step, drift, vol)
     psi_e, psi_g = spectral_module._kind_rows(
-        shifted, 1j * nu, alpha, vol, (EXPECTATION, GRADIENT)
+        shifted, vol * (1j * nu), vol * alpha, (EXPECTATION, GRADIENT)
     )
     assert np.max(np.abs(psi_e - shifted)) <= 1e-14
     assert np.max(np.abs(psi_g - vol * (alpha + 1j * nu) * shifted)) <= 1e-12
