@@ -36,7 +36,7 @@ from .pricing import (
     check_price_bounds,
     extract_delta,
 )
-from .solver import SolveAborted, solve, value_at_start
+from .solver import SolveAborted, solve, sweep, value_at_start
 from .spectral import (
     EXPECTATION,
     GRADIENT,
@@ -90,6 +90,7 @@ __all__ = [
     "SolveAborted",
     "StepDiagnostics",
     "solve",
+    "sweep",
     "value_at_start",
     "EXPECTATION",
     "GRADIENT",

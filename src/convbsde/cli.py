@@ -21,7 +21,6 @@ accuracy, a price or delta outside the no-arbitrage bounds and a
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -45,6 +44,7 @@ from .pricing import (
     check_domain_coverage,
     check_price_bounds,
     extract_delta,
+    spot_delta,
 )
 from .solver import SolveAborted, solve, value_at_start
 
@@ -240,35 +240,53 @@ def _require_closed_form(market: MarketParams, command: str) -> None:
         )
 
 
-def _solve_market(market: MarketParams, numerics: Numerics, full_surface=False):
-    """Build and solve the pricing problem; return (problem, surface).
-
-    Only ``paths`` reads past row 0, so every other command keeps the
-    start row alone.  Before the solve the half-width must cover the
-    volatility (DomainCoverageBreach); after it the price and the delta
-    at the start node are checked against their static no-arbitrage
-    bounds (PriceBoundBreach).  Both map to exit code 3.
-    """
+def _market_problem(market: MarketParams, numerics: Numerics):
+    """The pricing problem and its grid, once the half-width covers the
+    increment law (DomainCoverageBreach otherwise)."""
     check_domain_coverage(market, numerics.half_width)
     problem = build_pricing_problem(market, numerics.n, numerics.scheme)
-    grid = build_grid(problem.x_init, numerics.half_width, numerics.log2N)
-    surface = solve(problem, grid, full_surface=full_surface)
-    check_price_bounds(value_at_start(surface)[0], market)
-    check_delta_bounds(extract_delta(surface, market), market)
-    return problem, surface
+    return problem, build_grid(problem.x_init, numerics.half_width, numerics.log2N)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write a header and an iterable of rows, consuming it once."""
+def _check_start(market: MarketParams, y0: float, z0: float) -> None:
+    """Raise PriceBoundBreach unless the start price y0 and the delta
+    from z0 lie within their static no-arbitrage bounds."""
+    check_price_bounds(y0, market)
+    check_delta_bounds(spot_delta(z0, market), market)
+
+
+def _solve_market(market: MarketParams, numerics: Numerics):
+    """Build and solve the pricing problem; return its start-row surface.
+
+    Every command that calls this reads row 0 alone.  Before the solve
+    the half-width must cover the increment law (DomainCoverageBreach);
+    after it the price and the delta at the start node are checked
+    against their static no-arbitrage bounds (PriceBoundBreach).  Both
+    map to exit code 3.
+    """
+    problem, grid = _market_problem(market, numerics)
+    surface = solve(problem, grid, full_surface=False)
+    _check_start(market, *value_at_start(surface))
+    return surface
+
+
+def _csv_line(fields) -> str:
+    """One CSV record of numbers and plain words, as ``csv.writer``'s
+    default dialect writes them: str() of each field, no quoting
+    (no field holds a comma, quote or line break), "\r\n" at the end."""
+    return ",".join(map(str, fields)) + "\r\n"
+
+
+def _write_csv(path: str, header: list[str], lines) -> None:
+    """Write the header and then an iterable of CSV text, consuming it once."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(_csv_line(header))
+        handle.writelines(lines)
 
 
 def cmd_price(config: RunConfig) -> int:
     started = time.perf_counter()
-    _, surface = _solve_market(config.market, config.numerics)
+    surface = _solve_market(config.market, config.numerics)
     y0, z0 = value_at_start(surface)
     delta = extract_delta(surface, config.market)
     runtime_ms = (time.perf_counter() - started) * 1e3
@@ -280,7 +298,7 @@ def cmd_price(config: RunConfig) -> int:
         _write_csv(
             config.out,
             ["price", "delta", "y0", "z0", "runtime_ms"],
-            [[y0, delta, y0, z0, runtime_ms]],
+            map(_csv_line, [[y0, delta, y0, z0, runtime_ms]]),
         )
         print(f"wrote {config.out}")
     return 0
@@ -310,7 +328,7 @@ def cmd_table(config: RunConfig) -> int:
             for n in config.n_list:
                 label = NAME_BY_SCHEME[scheme]
                 try:
-                    _, surface = _solve_market(
+                    surface = _solve_market(
                         market, replace(config.numerics, n=n, scheme=scheme)
                     )
                     y0, _ = value_at_start(surface)
@@ -333,7 +351,7 @@ def cmd_table(config: RunConfig) -> int:
     _write_csv(
         out,
         ["scheme", "K", "n", "price", "delta", "ref_price", "rel_err_pct"],
-        rows,
+        map(_csv_line, rows),
     )
     print(f"wrote {out}")
     if failed:
@@ -345,7 +363,7 @@ def cmd_table(config: RunConfig) -> int:
 def cmd_error_surface(config: RunConfig) -> int:
     _require_closed_form(config.market, "error-surface")
     market = config.market
-    _, surface = _solve_market(market, config.numerics)
+    surface = _solve_market(market, config.numerics)
     x = surface.grid.space_nodes()
     spots = np.exp(x)
     ref_price, ref_delta = black_scholes_call_curve(
@@ -361,7 +379,7 @@ def cmd_error_surface(config: RunConfig) -> int:
     _write_csv(
         out,
         ["x", "abs_err_price", "abs_err_delta", "log10_abs_err_price", "log10_abs_err_delta"],
-        rows,
+        map(_csv_line, rows),
     )
     # the truncated domain's boundary error lives at the edge nodes, so
     # the headline is the interior a price is read from
@@ -392,7 +410,7 @@ def cmd_converge(config: RunConfig) -> int:
     rows = []
     errors = []
     for idx, n in enumerate(config.n_list):
-        _, surface = _solve_market(market, replace(config.numerics, n=n))
+        surface = _solve_market(market, replace(config.numerics, n=n))
         y0, _ = value_at_start(surface)
         err = abs(y0 - ref)
         errors.append(err)
@@ -407,24 +425,34 @@ def cmd_converge(config: RunConfig) -> int:
     slope = np.polyfit(np.log(config.n_list), np.log(errors), 1)[0]
     print(f"least-squares order: {-slope:.3f}")
     out = config.out or "converge.csv"
-    _write_csv(out, ["n", "abs_err", "ratio", "estimated_order"], rows)
+    _write_csv(out, ["n", "abs_err", "ratio", "estimated_order"], map(_csv_line, rows))
     print(f"wrote {out}")
     return 0
 
 
-def _path_rows(paths):
-    """Yield the long-format CSV rows, built one path at a time."""
+def _path_lines(paths):
+    """Yield the long-format CSV text one path at a time.
+
+    Each path is one string of its n+1 lines "id,t,X,S,Y,Z,A\r\n",
+    written as ``_csv_line`` writes a record; the t column is formatted
+    once for all paths.
+    """
+    times = [f"{t}," for t in paths.times.tolist()]
     for index, x in enumerate(paths.x):
-        columns = (paths.times, x, np.exp(x), paths.y[index], paths.z[index], paths.a[index])
-        for row in np.column_stack(columns).tolist():
-            yield [index, *row]
+        head = f"{index},"
+        columns = (x, np.exp(x), paths.y[index], paths.z[index], paths.a[index])
+        yield "".join([
+            f"{head}{t}{','.join(map(str, row))}\r\n"
+            for t, row in zip(times, np.column_stack(columns).tolist())
+        ])
 
 
 def cmd_paths(config: RunConfig) -> int:
-    problem, surface = _solve_market(config.market, config.numerics, full_surface=True)
-    paths = simulate_paths(problem, surface, config.path_count, config.seed)
+    problem, grid = _market_problem(config.market, config.numerics)
+    paths = simulate_paths(problem, grid, config.path_count, config.seed)
+    _check_start(config.market, paths.y[0, 0], paths.z[0, 0])
     out = config.out or "paths.csv"
-    _write_csv(out, ["path_id", "t", "X", "S", "Y", "Z", "A"], _path_rows(paths))
+    _write_csv(out, ["path_id", "t", "X", "S", "Y", "Z", "A"], _path_lines(paths))
     print(
         f"simulated {config.path_count} paths with {GENERATOR} "
         f"(seed={config.seed}, per-path seed pair), "

@@ -22,10 +22,6 @@ EXPLICIT_I = "explicit_I"
 EXPLICIT_II = "explicit_II"
 SCHEMES = (EXPLICIT_I, EXPLICIT_II)
 
-# Probe offsets (in units of x) at which constructor validation samples
-# the vol coefficient; matches the default grid half width.
-_VOL_PROBE_OFFSET = 5.0
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -143,10 +139,9 @@ def fbsde(
     drift and vol may depend on (t, x): each solver step samples them
     on the space grid and takes the single-FFT convolution when both
     are the same at every node, so constant coefficients need no
-    declaration.  vol is also sampled at t=0 at the initial state and
-    one default half width to either side; a non-positive value there
-    rejects the spec early (a degenerate diffusion has no density to
-    convolve with).
+    declaration.  vol is checked where the solver reads it: a
+    non-positive or non-finite vol at a grid node aborts the solve at
+    that step (a degenerate diffusion has no density to convolve with).
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
@@ -156,10 +151,6 @@ def fbsde(
         raise ValueError(f"scheme must be one of {SCHEMES}")
     if not np.isfinite(x_init):
         raise ValueError("x_init must be finite")
-    for probe in (x_init, x_init - _VOL_PROBE_OFFSET, x_init + _VOL_PROBE_OFFSET):
-        v = float(np.asarray(vol(0.0, probe)))
-        if not (np.isfinite(v) and v > 0):
-            raise ValueError(f"vol must be positive; got {v} at (t=0, x={probe})")
     return ProblemSpec(
         horizon=float(horizon),
         steps=int(steps),

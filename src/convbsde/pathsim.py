@@ -1,9 +1,10 @@
-"""Forward path simulation over a solved surface.
+"""Forward path simulation with the solution read along the paths.
 
 Simulates Euler paths of the forward state and reads Y, Z and the
-reflection increments along them by linear interpolation in space.
-This is presentation-layer sampling: it adds no accuracy beyond the
-surface, but shows how the backward pair and the reflection process
+reflection increments along them by linear interpolation in space, one
+row at a time as the backward sweep computes it.  This is
+presentation-layer sampling: it adds no accuracy beyond the solved
+rows, but shows how the backward pair and the reflection process
 behave along individual scenarios.
 """
 
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemSpec, SolutionSurface
-from .solver import check_storage
+from .grid import GridPair
+from .model import ProblemSpec
+from .solver import check_storage, sweep
 
 # Paths use numpy's PCG64 generator, seeded per path with the pair
 # (seed, row number) so results do not depend on scheduling order.
@@ -42,26 +44,27 @@ class PathBundle:
     seed: int
 
 
-def simulate_paths(
-    spec: ProblemSpec, surface: SolutionSurface, count: int, seed: int
-) -> PathBundle:
-    """Simulate ``count`` forward paths and read the surface along them.
+def simulate_paths(spec: ProblemSpec, grid: GridPair, count: int, seed: int) -> PathBundle:
+    """Simulate ``count`` forward paths and read the solution along them.
 
-    The simulation mesh equals the solver mesh, and the surface must
-    be a full one (a start-row surface is rejected).  Interpolation
+    The forward paths depend only on drift and vol, so X is simulated
+    first on the solver's time mesh; the backward sweep then runs on
+    ``grid`` and each row t_n..t_0 is interpolated along the paths as
+    it is computed, so no solution surface is held.  Interpolation
     uses the honestly computed nodes x_0..x_{N-1}; positions beyond
     them are clamped to the nearest of those nodes and the path
     flagged.  The five count x (n+1) path arrays (increments, X, Y, Z,
     A) are sized against the solver's storage cap before allocating.
+
+    Raises ValueError on a count below 1, an oversized request or
+    inconsistent problem/grid data, and SolveAborted as the sweep does.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    rows = sweep(spec, grid)
     n = spec.steps
-    if surface.u.shape != (n + 1, surface.grid.N):
-        raise ValueError("surface does not match the problem's mesh")
     check_storage(count * (n + 1) * 8 * 5, f"{count} paths at n={n}")
 
-    grid = surface.grid
     nodes = grid.space_nodes()
     x_left = grid.x0
     x_right = grid.x0 + grid.l
@@ -69,8 +72,7 @@ def simulate_paths(
     sq = np.sqrt(dt)
     times = spec.times()
 
-    # Forward Euler per path (each path has its own derived generator),
-    # then vectorized surface reads row by row across all paths.
+    # Forward Euler per path (each path has its own derived generator).
     x = np.empty((count, n + 1))
     clamped = np.zeros(count, dtype=bool)
     x[:, 0] = spec.x_init
@@ -87,14 +89,19 @@ def simulate_paths(
         clamped |= outside
         x[:, i + 1] = np.clip(nxt, x_left, x_right)
 
+    # Each row read across all paths as the sweep makes it; the
+    # reflection increment of step i (read at X_{t_i}) goes into the
+    # spent increments buffer and is summed forward at the end.
     y = np.empty((count, n + 1))
     z = np.empty((count, n + 1))
     a = np.zeros((count, n + 1))
-    for i in range(n + 1):
-        y[:, i] = np.interp(x[:, i], nodes, surface.u[i])
-        z[:, i] = np.interp(x[:, i], nodes, surface.udot[i])
-    if surface.reflection is not None:
+    for i, u_i, udot_i, reflection_i, _ in rows:
+        y[:, i] = np.interp(x[:, i], nodes, u_i)
+        z[:, i] = np.interp(x[:, i], nodes, udot_i)
+        if reflection_i is not None and i < n:
+            incs[:, i] = np.interp(x[:, i], nodes, reflection_i)
+    if spec.barrier is not None:
         for i in range(n):
-            a[:, i + 1] = a[:, i] + np.interp(x[:, i], nodes, surface.reflection[i])
+            a[:, i + 1] = a[:, i] + incs[:, i]
 
     return PathBundle(times, x, y, z, a, clamped, seed)

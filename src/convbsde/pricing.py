@@ -11,6 +11,7 @@ American style adds the payoff itself as a lower barrier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
 
@@ -34,10 +35,14 @@ BOUND_SLACK = 1e-4
 # it grows to 1.9e-3 at mu = 0.5, so coarse solves of such markets
 # breach this slack.
 DELTA_SLACK = 1e-3
-# Log-price standard deviations sigma*sqrt(T) the half-width must span.
-# At n = 1000, N = 4096 and half-width 5 the ATM price is accurate to
-# 7.8e-6 relative at sigma = 1.0 (ratio 5) and 1.3e-4 at sigma = 1.1,
-# but off by 2.1e-3 at sigma = 1.25 and 4.8% at sigma = 1.5.
+# Log-price standard deviations sigma*sqrt(T) the half-width must span
+# beyond the drift |a|*T of the terminal log price, a = mu - div -
+# sigma^2/2.  At n = 1000, N = 4096 and half-width 5 the ATM price is
+# accurate to 7.8e-6 relative at sigma = 1.0 (ratio 5) and 1.3e-4 at
+# sigma = 1.1, but off by 2.1e-3 at sigma = 1.25 and 4.8% at
+# sigma = 1.5.  The drift moves the law's centre off the grid's: at
+# sigma = 0.05, div = 0.5 and half-width 0.25 (ratio 5, drift 0.45) the
+# price is 1.568 against 2e-23.
 COVERAGE_STDEVS = 5.0
 # Widest half-width a solve keeps accurate.  The periodization's linear
 # term beta*x + kappa grows like S0*exp(half_width), and float64 cancels
@@ -103,6 +108,11 @@ class MarketParams:
         if self.style not in STYLES:
             raise ValueError(f"style must be one of {STYLES}")
 
+    @property
+    def log_drift(self) -> float:
+        """Drift a = mu - div - sigma^2/2 of the log price X = ln S."""
+        return self.mu - self.div - 0.5 * self.sigma * self.sigma
+
 
 def build_pricing_problem(
     params: MarketParams, n: int, scheme: str = EXPLICIT_II
@@ -125,7 +135,7 @@ def build_pricing_problem(
     def spread_driver(t, x, y, z):
         return linear_driver(t, x, y, z) + (big_r - r) * np.maximum(z / sigma - y, 0.0)
 
-    drift_value = mu - params.div - 0.5 * sigma * sigma
+    drift_value = params.log_drift
     barrier = None
     if params.style == STYLE_AMERICAN:
         barrier = lambda t, x: terminal(x)
@@ -144,30 +154,42 @@ def build_pricing_problem(
     )
 
 
-def extract_delta(surface: SolutionSurface, params: MarketParams) -> float:
-    """Spot sensitivity at t=0 from the gradient surface.
+def spot_delta(z0: float, params: MarketParams) -> float:
+    """Spot sensitivity at t=0 from z0, the gradient at the start node.
 
-    udot approximates sigma * du/dx on the log axis, and dS = S dx, so
-    delta = udot / (sigma * S0) at the center node.
+    z approximates sigma * du/dx on the log axis, and dS = S dx, so
+    delta = z0 / (sigma * S0).
     """
-    mid = surface.grid.N // 2
-    return float(surface.udot[0, mid]) / (params.sigma * params.S0)
+    return float(z0) / (params.sigma * params.S0)
+
+
+def extract_delta(surface: SolutionSurface, params: MarketParams) -> float:
+    """Spot sensitivity at t=0 from the gradient surface's center node."""
+    return spot_delta(surface.udot[0, surface.grid.N // 2], params)
 
 
 def check_domain_coverage(params: MarketParams, half_width: float) -> None:
     """Raise DomainCoverageBreach unless the grid's log-price half-width
-    spans COVERAGE_STDEVS standard deviations sigma*sqrt(T) of the
-    terminal log price, is at most MAX_HALF_WIDTH, and its top node
-    ln(S0) + half_width stays at or below MAX_LOG_PRICE.
+    spans the drift |a|*T of the terminal log price plus COVERAGE_STDEVS
+    standard deviations sigma*sqrt(T), where a = mu - div - sigma^2/2,
+    is at most MAX_HALF_WIDTH, and its top node ln(S0) + half_width
+    stays at or below MAX_LOG_PRICE.
 
-    A narrower domain truncates the increment law and returns a wrong
-    price, often still inside the static no-arbitrage bounds; a wider
-    one loses the price to float64 cancellation, and at a huge S0
-    overflows float64 inside the solve.  When no half-width meets all
-    three conditions the message says so instead of suggesting one.
+    A narrower domain truncates the increment law (or carries its
+    centre towards an edge) and returns a wrong price, often still
+    inside the static no-arbitrage bounds; a wider one loses the price
+    to float64 cancellation, and at a huge S0 overflows float64 inside
+    the solve.  When no half-width meets all three conditions the
+    message says so instead of suggesting one.
     """
     spread = params.sigma * np.sqrt(params.T)
-    narrowest = COVERAGE_STDEVS * spread
+    drift = abs(params.log_drift) * params.T
+    narrowest = drift + COVERAGE_STDEVS * spread
+    needs = (
+        f"sigma*sqrt(T) = {spread:.6g} needs a log-price half-width of at "
+        f"least {COVERAGE_STDEVS:g} times that plus the drift |a|*T = {drift:.6g} "
+        f"(a = mu - div - sigma^2/2), {narrowest:.6g}"
+    )
     for widest, limit in (
         (MAX_HALF_WIDTH, "the widest log-price half-width float64 keeps accurate"),
         (
@@ -177,17 +199,12 @@ def check_domain_coverage(params: MarketParams, half_width: float) -> None:
     ):
         if not narrowest <= widest:
             raise DomainCoverageBreach(
-                f"sigma*sqrt(T) = {spread:.6g} needs a log-price half-width of at "
-                f"least {COVERAGE_STDEVS:g} times that, {narrowest:.6g}, above "
-                f"{widest:.6g}, {limit}: no half-width serves this market"
+                f"{needs}, above {widest:.6g}, {limit}: no half-width serves this market"
             )
-    ratio = half_width / spread
-    if not ratio >= COVERAGE_STDEVS:
+    if not half_width >= narrowest:
         raise DomainCoverageBreach(
-            f"--half-width {half_width:g} is {ratio:.3g} times sigma*sqrt(T) = "
-            f"{spread:.6g}; the log-price domain must span at least "
-            f"{COVERAGE_STDEVS:g} of them: use --half-width "
-            f"{COVERAGE_STDEVS * spread:.6g} or more"
+            f"--half-width {half_width:g} is {half_width / spread:.3g} times "
+            f"sigma*sqrt(T); {needs}: use --half-width {_rounded_up(narrowest)} or more"
         )
     if not half_width <= MAX_HALF_WIDTH:
         raise DomainCoverageBreach(
@@ -204,6 +221,17 @@ def check_domain_coverage(params: MarketParams, half_width: float) -> None:
             f"{top:.8g}; float64 leaves room up to {MAX_LOG_PRICE:g}: use "
             f"--half-width {widest:g} or less"
         )
+
+
+def _rounded_up(value: float) -> str:
+    """value to 6 significant digits, rounded up so that it passes as a lower bound.
+
+    The rounding starts from repr(value), the shortest decimal that reads
+    back as value, so a value such as 0.70125 prints as itself.
+    """
+    exact = Decimal(repr(float(value)))
+    step = Decimal(1).scaleb(exact.adjusted() - 5)
+    return f"{exact.quantize(step, rounding=ROUND_CEILING).normalize():f}"
 
 
 def check_price_bounds(price: float, params: MarketParams) -> None:

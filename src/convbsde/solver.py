@@ -85,71 +85,61 @@ def _node_values(coefficient, t: float, x: np.ndarray):
     return float(first) if (raw == first).all() else raw
 
 
-def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> SolutionSurface:
-    """Run the backward recursion and return the solution surface.
+def sweep(spec: ProblemSpec, grid: GridPair):
+    """Run the backward recursion, yielding each row as it is computed.
 
-    The recursion reads only the row computed one step earlier, so
-    ``full_surface=False`` keeps the start row alone: u, udot and the
-    reflection then have shape (1, N) and their row 0 (time t_0) is
-    bitwise equal to row 0 of the full surface.  Memory is O(N)
-    instead of O(n N).  Either way the surface's ``StepDiagnostics``
-    records every step's fit, residual and active reflection nodes.
+    The recursion reads only the row computed one step earlier, so the
+    rows come out in time order t_n, t_{n-1}, ..., t_0 as tuples
+    (i, u_i, udot_i, reflection_i, step_i) over the nodes x_0..x_{N-1}:
 
-    Parameters
-    ----------
-    spec : ProblemSpec
-        Problem data; its x_init must equal the grid center so the
-        initial state sits exactly on the middle node.
-    grid : GridPair
-    full_surface : bool
-        Keep every row t_0..t_n (the default) or only the start row.
+    - row n is the terminal payoff, with a zero gradient, a zero
+      reflection and step None;
+    - every other row carries step_i = (alpha, beta, kappa, residual,
+      active nodes) of the step that computed it, the entries of
+      ``StepDiagnostics``.
+
+    reflection_i is None without a barrier.  The yielded arrays are
+    buffers the next row overwrites: copy what must outlive it.  The
+    problem and grid are checked when ``sweep`` is called, before the
+    first row; everything it holds is O(N).
 
     Raises
     ------
-    SolveAborted
-        On a non-finite solution value, an excessive imaginary residual
-        or a ValueError raised inside a step (by the fit, transform,
-        adjustment, coefficients or driver), with the offending step
-        index.
     ValueError
-        On inconsistent problem/grid data (center mismatch, terminal
-        payoff below the barrier), or when the kept rows would exceed
-        MAX_STORAGE_BYTES, checked before allocating.
+        At the call, on inconsistent problem/grid data (center
+        mismatch, terminal payoff below the barrier).
+    SolveAborted
+        While iterating, on a non-finite solution value, an excessive
+        imaginary residual or a ValueError raised inside a step (by the
+        fit, transform, adjustment, coefficients or driver), with the
+        offending step index.
     """
     if grid.center != spec.x_init:
         raise ValueError("grid.center must equal spec.x_init")
 
-    n = spec.steps
-    N = grid.N
-    reflected = spec.barrier is not None
-    rows = n + 1 if full_surface else 1
-    check_storage(
-        rows * N * 8 * (3 if reflected else 2),
-        f"a {rows}-row surface at n={n}, log2N={N.bit_length() - 1}",
-    )
-    dt = spec.step_size
-    times = spec.times()
     x_full = grid.space_nodes(include_right=True)
-    x = x_full[:N]
-
     g_full = np.asarray(spec.terminal(x_full), dtype=float)
     if g_full.shape != x_full.shape:
         raise ValueError("terminal function must be vectorized over x")
     if not np.all(np.isfinite(g_full)):
         raise ValueError("terminal values must be finite")
 
-    if reflected:
+    if spec.barrier is not None:
         b_terminal = np.asarray(spec.barrier(spec.horizon, x_full), dtype=float)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(g_full))))
         if np.any(b_terminal > g_full + tol):
             raise ValueError("terminal payoff must dominate the barrier at maturity")
+    return _backward_rows(spec, grid, x_full[: grid.N], g_full)
 
-    u = np.empty((rows, N))
-    udot = np.zeros((rows, N))
-    u[-1] = g_full[:N]
-    reflection = np.zeros((rows, N)) if reflected else None
-    fits = np.empty((4, n))  # alpha, beta, kappa and the residual, per step
-    active = np.zeros(n, dtype=int)
+
+def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.ndarray):
+    """The generator behind ``sweep``, started from the checked payoff
+    g_full on the nodes x_0..x_N; x holds x_0..x_{N-1}."""
+    n = spec.steps
+    N = grid.N
+    dt = spec.step_size
+    times = spec.times()
+    reflected = spec.barrier is not None
     # the scalar law and the forward mean x + a*dt of the last constant step
     law = mean = None
 
@@ -188,10 +178,12 @@ def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> Solut
     samples = g_full
     u_samples = np.empty(N + 1)
     v_samples = np.empty(N + 1) if spec.scheme == EXPLICIT_I else None
+    reflection = np.zeros(N) if reflected else None
+
+    yield n, g_full[:N], np.zeros(N), reflection, None
 
     for i in range(n - 1, -1, -1):
         t = times[i]
-        row = i if full_surface else 0
         try:
             a = _node_values(spec.drift, t, x)
             s = _node_values(spec.vol, t, x)
@@ -211,28 +203,82 @@ def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> Solut
             raise SolveAborted(i, str(exc)) from exc
 
         u_i = u_samples[:N]
+        active = 0
         if reflected:
             b = np.asarray(spec.barrier(t, x), dtype=float)
             np.maximum(raw, b, out=u_i)
             # u_i - raw equals max(b - raw, 0) bit for bit, and is
             # nonzero exactly where u_i differs from raw
-            np.subtract(u_i, raw, out=reflection[row])
-            active[i] = np.count_nonzero(u_i != raw)
+            np.subtract(u_i, raw, out=reflection)
+            active = np.count_nonzero(u_i != raw)
         else:
             u_i[...] = raw
 
         if not (np.isfinite(u_i).all() and np.isfinite(udot_i).all()):
             raise SolveAborted(i, "non-finite solution values")
 
-        u[row] = u_i
-        udot[row] = udot_i
-        fits[:, i] = coeffs.alpha, coeffs.beta, coeffs.kappa, residual
-
+        yield i, u_i, udot_i, reflection, (
+            coeffs.alpha, coeffs.beta, coeffs.kappa, residual, active
+        )
         samples = _extend(u_samples)
+
+
+def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> SolutionSurface:
+    """Run the backward recursion and return the solution surface.
+
+    ``sweep`` computes the rows; this keeps copies of them.  The
+    recursion reads only the row computed one step earlier, so
+    ``full_surface=False`` keeps the start row alone: u, udot and the
+    reflection then have shape (1, N) and their row 0 (time t_0) is
+    bitwise equal to row 0 of the full surface.  Memory is O(N)
+    instead of O(n N).  Either way the surface's ``StepDiagnostics``
+    records every step's fit, residual and active reflection nodes.
+
+    Parameters
+    ----------
+    spec : ProblemSpec
+        Problem data; its x_init must equal the grid center so the
+        initial state sits exactly on the middle node.
+    grid : GridPair
+    full_surface : bool
+        Keep every row t_0..t_n (the default) or only the start row.
+
+    Raises
+    ------
+    SolveAborted
+        As ``sweep`` does.
+    ValueError
+        As ``sweep`` does, or when the kept rows would exceed
+        MAX_STORAGE_BYTES, checked before allocating.
+    """
+    computed = sweep(spec, grid)
+    n = spec.steps
+    N = grid.N
+    reflected = spec.barrier is not None
+    rows = n + 1 if full_surface else 1
+    check_storage(
+        rows * N * 8 * (3 if reflected else 2),
+        f"a {rows}-row surface at n={n}, log2N={N.bit_length() - 1}",
+    )
+    u = np.empty((rows, N))
+    udot = np.empty((rows, N))
+    reflection = np.empty((rows, N)) if reflected else None
+    fits = np.empty((4, n))  # alpha, beta, kappa and the residual, per step
+    active = np.empty(n, dtype=int)
+
+    for i, u_i, udot_i, reflection_i, step in computed:
+        if step is not None:
+            fits[:, i] = step[:4]
+            active[i] = step[4]
+        if i < rows:  # every row, or row 0 alone
+            u[i] = u_i
+            udot[i] = udot_i
+            if reflected:
+                reflection[i] = reflection_i
 
     return SolutionSurface(
         grid=grid,
-        times=times[:rows].copy(),
+        times=spec.times()[:rows].copy(),
         u=u,
         udot=udot,
         reflection=reflection,

@@ -29,6 +29,7 @@ from convbsde import (
     STYLES,
     DomainCoverageBreach,
     MarketParams,
+    SolveAborted,
     black_scholes_call,
     build_grid,
     build_pricing_problem,
@@ -36,6 +37,8 @@ from convbsde import (
     simulate_paths,
     solve,
 )
+import convbsde.cli as cli_module
+import convbsde.solver as solver_module
 from convbsde.pricing import DELTA_SLACK, MAX_HALF_WIDTH
 from convbsde.cli import RunConfig, build_parser, load_config, main
 
@@ -245,11 +248,16 @@ def test_non_finite_market_value_is_a_config_error(flag, field, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_value_error_inside_solve_exits_with_numerical_abort(capsys):
+def test_value_error_inside_solve_exits_with_numerical_abort(capsys, monkeypatch):
     # a finite but absurd drift overflows the closed-form adjustment in
     # the first backward step; that is a numerical abort, not a config
-    # error, and the message names the step
-    rc = main(["price", "--n", "50", "--log2N", "8", "--mu", "1e307"])
+    # error, and the message names the step.  The coverage check refuses
+    # this drift before any solve, so it is switched off to reach the step.
+    argv = ["price", "--n", "50", "--log2N", "8", "--mu", "1e307"]
+    assert main(argv) == 3
+    assert "drift |a|*T = 1e+307" in capsys.readouterr().err
+    monkeypatch.setattr(cli_module, "check_domain_coverage", lambda market, half_width: None)
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 3
     assert "solve aborted at step 49: non-finite adjustment value" in captured.err
@@ -282,12 +290,12 @@ def test_price_keeps_only_the_start_row():
 @pytest.mark.parametrize(
     "flags, bound",
     [
-        (["--n", "50", "--log2N", "8", "--div", "1e300"], "C <= S0*exp(-div*T) = 0 "),
+        (["--n", "10", "--log2N", "8", "--mu", "3"], "C <= S0*exp(-div*T) = 100 "),
     ],
 )
 def test_price_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, capsys):
-    # a drift that carries the kernel off the grid used to print a price
-    # far above the spot
+    # at mu = 3 the driver's -(mu - r)/sigma*z term is far too stiff for
+    # ten steps: the solve ends at a price of -42.27
     rc = main(["price", *flags])
     captured = capsys.readouterr()
     assert rc == 3
@@ -299,23 +307,23 @@ def test_price_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, ca
 @pytest.mark.parametrize(
     "flags, bound",
     [
-        # rate 0.5 moves the risk-neutral log price by about 0.5 over
-        # T = 1, twice the half-width: price 37.954 against Black-Scholes
-        # 39.347
-        (["--rate", "0.5", "--borrow-rate", "0.5", "--sigma", "0.05",
-          "--half-width", "0.25"],
-         "delta 1.12175 is outside the no-arbitrage bounds "
+        # mu = sigma^2/2 + div makes the log-price drift 0, so the domain
+        # passes the coverage check.  Rate 0.5 moves the risk-neutral log
+        # price by about 0.5 over T = 1, twice the half-width
+        (["--rate", "0.5", "--borrow-rate", "0.5", "--mu", "0.00125", "--sigma", "0.05",
+          "--half-width", "0.26"],
+         "delta 1.01741 is outside the no-arbitrage bounds "
          "0 <= delta <= exp(-div*T) = 1 "),
-        # div 0.5 moves it by about -0.5: price 1.568 against 2e-23
-        (["--div", "0.5", "--sigma", "0.05", "--half-width", "0.25"],
-         "delta -0.18767 is outside the no-arbitrage bounds "
+        # div 0.5 moves it by about -0.5
+        (["--div", "0.5", "--mu", "0.50125", "--sigma", "0.05", "--half-width", "0.26"],
+         "delta -0.151052 is outside the no-arbitrage bounds "
          "0 <= delta <= exp(-div*T) = 0.606531 "),
     ],
     ids=["rate", "div"],
 )
 def test_delta_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, capsys):
-    # both prices lie inside their static bounds and used to print with
-    # exit 0; only the delta shows the law left the grid
+    # the physical law stays on the grid but the pricing law leaves it;
+    # only the delta shows it
     rc = main(["price", *flags])
     captured = capsys.readouterr()
     assert rc == 3
@@ -326,14 +334,21 @@ def test_delta_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, ca
 
 def test_overflowing_dampening_aborts_without_a_runtime_warning(capsys):
     # a half-width of 0.01 fits alpha = -234 three steps in; exp(-alpha*x)
-    # used to overflow with RuntimeWarnings before kappa was found non-finite
+    # used to overflow with RuntimeWarnings before kappa was found non-finite.
+    # The drift 0.05 carries the law five half-widths off such a grid, so
+    # the command now refuses it before the solve, and the solve runs here
+    # from the library.
+    flags = ["--sigma", "0.001", "--n", "5", "--half-width", "0.01"]
+    assert main(["price", *flags]) == 3
+    assert "the drift |a|*T = 0.0499995" in capsys.readouterr().err
+    spec = build_pricing_problem(MarketParams(sigma=0.001), 5, EXPLICIT_II)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["price", "--sigma", "0.001", "--n", "5", "--half-width", "0.01"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert "solve aborted at step 3: dampening alpha = -233.95 takes exp(-alpha*x)" in captured.err
-    assert "at the domain end x = 4.61517" in captured.err
+        with pytest.raises(SolveAborted) as info:
+            solve(spec, build_grid(spec.x_init, 0.01, 12), full_surface=False)
+    message = str(info.value)
+    assert "solve aborted at step 3: dampening alpha = -233.95 takes exp(-alpha*x)" in message
+    assert "at the domain end x = 4.61517" in message
 
 
 @pytest.mark.parametrize(
@@ -438,8 +453,22 @@ def test_widest_suggested_half_width_passes_the_domain_check():
         check_domain_coverage(market, 12.251)
 
 
+def test_drift_that_leaves_the_domain_is_a_numerical_abort(capsys):
+    # five standard deviations fit, but the drift |a|*T = 0.45125 carries
+    # the law off the grid; only the delta bound used to catch it
+    rc = main(["price", "--div", "0.5", "--sigma", "0.05", "--half-width", "0.25"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "the drift |a|*T = 0.45125" in captured.err
+    assert "use --half-width 0.70125 or more" in captured.err
+    assert "delta" not in captured.err
+    assert main(["price", "--div", "0.5", "--sigma", "0.05", "--half-width", "0.70125"]) == 0
+
+
 def test_widening_the_domain_passes_the_coverage_check(capsys):
-    rc = main(["price", "--n", "50", "--log2N", "8", "--sigma", "1.5", "--half-width", "7.5"])
+    # sigma = 1.5 needs 5*1.5 plus the drift |0.05 - 1.125| = 1.075
+    rc = main(["price", "--n", "50", "--log2N", "8", "--sigma", "1.5", "--half-width", "8.575"])
     assert rc == 0
     price = float(_parse_kv(capsys.readouterr().out.splitlines()[0])["price"])
     ref = black_scholes_call(100.0, 100.0, 0.01, 0.0, 1.5, 1.0).price
@@ -495,13 +524,27 @@ def test_every_market_prices_in_bounds_or_fails_with_a_message(
 
 
 def test_oversized_paths_request_is_a_config_error(capsys):
-    # the full American surface would need 0.98 TB; the check fires
-    # before anything is allocated
+    # paths holds no surface, only its five 50 x (n+1) path arrays: 20 GB
+    # here; the check fires before anything is allocated
     rc = main(["paths", "--n", "10000000", "--style", "american"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert f"needs {(10**7 + 1) * 4096 * 24} bytes" in captured.err
-    assert "n=10000000, log2N=12" in captured.err
+    assert f"50 paths at n=10000000 needs {50 * (10**7 + 1) * 8 * 5} bytes" in captured.err
+
+
+def test_paths_fits_a_cap_below_the_full_surface(tmp_path, monkeypatch, capsys):
+    # the full American surface is 51 rows of 3 x 1024 doubles, the path
+    # arrays 5 x 2 x 51 doubles; a cap between them used to refuse paths
+    argv = ["paths", "--style", "american", "--div", "0.035", "--n", "50", "--log2N", "10",
+            "--paths", "2", "--out", str(tmp_path / "paths.csv")]
+    surface_bytes = 51 * 1024 * 8 * 3
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", surface_bytes - 1)
+    assert 5 * 2 * 51 * 8 < surface_bytes - 1
+    assert main(argv) == 0
+    assert len((tmp_path / "paths.csv").read_bytes().splitlines()) == 1 + 2 * 51
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", 5 * 2 * 51 * 8 - 1)
+    assert main(argv) == 2
+    assert "2 paths at n=50 needs 4080 bytes" in capsys.readouterr().err
 
 
 def test_table_sweeps_and_references(tmp_path, capsys):
@@ -566,7 +609,8 @@ def test_table_uses_tree_reference_when_rates_differ(tmp_path):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--div", "1e300"], "outside the no-arbitrage bounds"),
+        (["--div", "0.5", "--mu", "0.50125", "--sigma", "0.05", "--half-width", "0.26"],
+         "outside the no-arbitrage bounds"),
         (["--sigma", "2.0"], "--half-width 5 is 2.5 times sigma*sqrt(T)"),
     ],
 )
@@ -681,8 +725,7 @@ def test_paths_csv_holds_the_simulated_arrays_exactly(tmp_path):
     assert main(["paths", *args, "--paths", "3", "--seed", "5", "--out", str(out)]) == 0
     market = MarketParams(style=STYLE_AMERICAN, div=0.035)
     spec = build_pricing_problem(market, 50, EXPLICIT_II)
-    surface = solve(spec, build_grid(spec.x_init, 5.0, 10))
-    paths = simulate_paths(spec, surface, 3, 5)
+    paths = simulate_paths(spec, build_grid(spec.x_init, 5.0, 10), 3, 5)
     assert np.any(paths.a[:, -1] > 0.0)
     rows = _read_csv(out)
     # grouped by path id in order, each path's rows in time order
@@ -690,6 +733,77 @@ def test_paths_csv_holds_the_simulated_arrays_exactly(tmp_path):
     for column, values in (("t", np.tile(paths.times, 3)), ("X", paths.x), ("Y", paths.y),
                            ("Z", paths.z), ("A", paths.a)):
         assert [float(r[column]) for r in rows] == values.ravel().tolist()
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    """The bytes csv.writer's default dialect writes for rows."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "flags, count, seed",
+    [
+        (["--style", "american", "--div", "0.035", "--borrow-rate", "0.03"], 4, 7),
+        (["--style", "american", "--div", "0.035", "--borrow-rate", "0.03"], 4, 3),
+        (["--style", "american", "--div", "0.035", "--borrow-rate", "0.03"], 1, 7),
+        ([], 2, 7),
+    ],
+    ids=["american-seed7", "american-seed3", "one-path", "european"],
+)
+def test_paths_csv_is_what_csv_writer_writes(flags, count, seed, tmp_path):
+    out = tmp_path / "paths.csv"
+    argv = ["paths", *flags, "--n", "50", "--log2N", "10", "--paths", str(count),
+            "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    config = load_config(build_parser().parse_args(argv))
+    spec = build_pricing_problem(config.market, 50, EXPLICIT_II)
+    paths = simulate_paths(spec, build_grid(spec.x_init, 5.0, 10), count, seed)
+    assert np.any(paths.a[:, -1] > 0.0) == bool(flags)
+
+    def rows():
+        # the rows csv.writer used to write, one path at a time
+        yield ["path_id", "t", "X", "S", "Y", "Z", "A"]
+        for index, x in enumerate(paths.x):
+            columns = (paths.times, x, np.exp(x), paths.y[index], paths.z[index], paths.a[index])
+            for row in np.column_stack(columns).tolist():
+                yield [index, *row]
+
+    assert out.read_bytes() == _csv_writer_bytes(rows())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["price", "--n", "50", "--log2N", "10", "--style", "american", "--div", "0.035"],
+        ["table", "--log2N", "10", "--strikes", "95,105", "--n-list", "40,80",
+         "--borrow-rate", "0.03"],
+        # a failed cell writes nan
+        ["table", "--log2N", "8", "--strikes", "100", "--n-list", "50", "--schemes", "explicit2"],
+        ["converge", "--log2N", "10", "--n-list", "50,100,200"],
+        ["error-surface", "--n", "50", "--log2N", "10"],
+    ],
+    ids=["price", "table", "table-failed", "converge", "error-surface"],
+)
+def test_command_csv_is_what_csv_writer_writes(argv, tmp_path, monkeypatch):
+    # every record the command formats, header first, is also handed to
+    # csv.writer; the file must hold the same bytes (price's runtime_ms
+    # is the same value in both)
+    records = []
+
+    def recording_line(fields):
+        records.append(list(fields))
+        return csv_line(fields)
+
+    csv_line = cli_module._csv_line
+    monkeypatch.setattr(cli_module, "_csv_line", recording_line)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) in (0, 3)
+    assert len(records) == len(out.read_bytes().splitlines()) > 1
+    assert out.read_bytes() == _csv_writer_bytes(records)
+    if argv[-1] == "explicit2":
+        assert np.isnan(records[1][3])
 
 
 def test_paths_differ_across_seeds(tmp_path):

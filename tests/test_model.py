@@ -1,6 +1,7 @@
 """Tests for problem containers and their validation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ from convbsde import (
     EXPLICIT_I,
     EXPLICIT_II,
     SCHEMES,
+    SolveAborted,
     brownian_bsde,
+    build_grid,
     fbsde,
+    solve,
+    value_at_start,
 )
 
 
@@ -75,18 +80,26 @@ def test_fbsde_accepts_positive_vol():
     assert spec.barrier is None
 
 
-def test_fbsde_rejects_degenerate_vol():
-    # vol turns negative within the probed neighborhood of the start
-    with pytest.raises(ValueError):
-        fbsde(
-            horizon=1.0,
-            steps=4,
-            x_init=0.0,
-            drift=lambda t, x: np.zeros_like(x),
-            vol=lambda t, x: 1.0 - 0.3 * np.abs(x),
-            terminal=_identity_terminal,
-            driver=_zero_driver,
-        )
+def test_degenerate_vol_aborts_the_solve_naming_node_and_step():
+    # fbsde no longer samples vol at points of its own choosing: the
+    # solver checks it on the nodes it reads.  vol = 1 - 0.3|x| is not
+    # positive from |x| = 10/3 on, so on a half-width-5 grid the per-node
+    # step refuses node 0 (x = -5, vol -0.5) at the first step, 3
+    spec = fbsde(
+        horizon=1.0,
+        steps=4,
+        x_init=0.0,
+        drift=lambda t, x: np.zeros_like(x),
+        vol=lambda t, x: 1.0 - 0.3 * np.abs(x),
+        terminal=_identity_terminal,
+        driver=_zero_driver,
+    )
+    with pytest.raises(SolveAborted, match="step 3: non-positive vol -0.5 at node 0"):
+        solve(spec, build_grid(0.0, 5.0, 6))
+    # a constant vol of 0 takes the constant-coefficient route
+    flat = dataclasses.replace(spec, vol=lambda t, x: 0.0)
+    with pytest.raises(SolveAborted, match="step 3: vol must be positive"):
+        solve(flat, build_grid(0.0, 5.0, 6))
     with pytest.raises(ValueError):
         fbsde(
             horizon=1.0,
@@ -97,6 +110,26 @@ def test_fbsde_rejects_degenerate_vol():
             terminal=_identity_terminal,
             driver=_zero_driver,
         )
+
+
+def test_vol_that_vanishes_off_the_grid_solves():
+    # 0.2 within 4.5 of the start and 0 at 5 away: fbsde used to reject
+    # it by sampling x_init + 5, a point a half-width-2 grid never reads
+    x0 = float(np.log(100.0))
+    spec = fbsde(
+        horizon=1.0,
+        steps=20,
+        x_init=x0,
+        drift=lambda t, x: np.zeros_like(x),
+        vol=lambda t, x: np.where(np.abs(np.asarray(x) - x0) <= 4.5, 0.2, 0.0),
+        terminal=lambda x: np.maximum(np.exp(x) - 100.0, 0.0),
+        driver=_zero_driver,
+    )
+    assert spec.vol(0.0, x0 + 5.0) == 0.0
+    y0, _ = value_at_start(solve(spec, build_grid(x0, 2.0, 9)))
+    # E[(100*exp(0.2*W_1) - 100)^+] = 100*(exp(0.02)*Phi(0.2) - 1/2)
+    exact = 100.0 * (np.exp(0.02) * 0.5 * (1.0 + math.erf(0.2 / np.sqrt(2.0))) - 0.5)
+    assert y0 == pytest.approx(exact, abs=2e-3)
 
 
 def test_problem_spec_is_frozen():

@@ -198,23 +198,34 @@ def test_delta_bounds_allow_the_static_range_plus_slack(market, upper, bound):
 
 
 @pytest.mark.parametrize("sigma, T", [(1.0, 1.0), (0.5, 4.0), (2.0, 0.25)])
-def test_domain_coverage_needs_five_standard_deviations(sigma, T):
+def test_domain_coverage_needs_drift_plus_five_standard_deviations(sigma, T):
     market = MarketParams(sigma=sigma, T=T)
     spread = sigma * np.sqrt(T)
-    check_domain_coverage(market, COVERAGE_STDEVS * spread)
-    narrow = np.nextafter(COVERAGE_STDEVS * spread, 0.0)
+    drift = abs(market.mu - market.div - 0.5 * sigma * sigma) * T
+    assert drift > 0.0
+    narrowest = drift + COVERAGE_STDEVS * spread
+    check_domain_coverage(market, narrowest)
+    narrow = np.nextafter(narrowest, 0.0)
     with pytest.raises(DomainCoverageBreach, match="--half-width") as info:
         check_domain_coverage(market, narrow)
     assert f"sigma*sqrt(T) = {spread:g}" in str(info.value)
-    assert f"use --half-width {COVERAGE_STDEVS * spread:g} or more" in str(info.value)
+    assert f"the drift |a|*T = {drift:.6g}" in str(info.value)
+    suggested = re.search(r"use --half-width (\S+) or more", str(info.value)).group(1)
+    assert float(suggested) == pytest.approx(narrowest, rel=1e-5)
+    check_domain_coverage(market, float(suggested))
+    # without drift, five standard deviations are enough
+    driftless = MarketParams(sigma=sigma, T=T, mu=0.5 * sigma * sigma)
+    check_domain_coverage(driftless, COVERAGE_STDEVS * spread)
 
 
 def test_domain_coverage_says_when_no_half_width_serves():
     # at 5*sigma*sqrt(T) = MAX_HALF_WIDTH exactly one half-width passes;
     # one ulp more sigma leaves none, whatever half-width is asked for
-    market = MarketParams(sigma=MAX_HALF_WIDTH / COVERAGE_STDEVS)
+    # (mu = sigma^2/2 makes the log-price drift 0)
+    sigma = MAX_HALF_WIDTH / COVERAGE_STDEVS
+    market = MarketParams(sigma=sigma, mu=0.5 * sigma * sigma)
     check_domain_coverage(market, MAX_HALF_WIDTH)
-    wider = MarketParams(sigma=np.nextafter(market.sigma, np.inf))
+    wider = dataclasses.replace(market, sigma=np.nextafter(sigma, np.inf))
     for half_width in (5.0, MAX_HALF_WIDTH, 20.0):
         with pytest.raises(DomainCoverageBreach, match="no half-width serves") as info:
             check_domain_coverage(wider, half_width)

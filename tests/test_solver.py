@@ -29,6 +29,7 @@ from convbsde import (
     fit_coefficients,
     increment_cf,
     solve,
+    sweep,
     value_at_start,
 )
 
@@ -650,6 +651,36 @@ def test_start_row_solve_is_row_zero_of_the_full_solve(scheme, style):
         assert kept.shape == (spec.steps,)
         assert np.array_equal(kept, every)
     assert value_at_start(start) == value_at_start(full)
+
+
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
+def test_sweep_yields_the_surface_rows_backward_in_time(scheme, style):
+    spec, grid = _surface_case(scheme, style)
+    full = solve(spec, grid)
+    order = []
+    for i, u_i, udot_i, reflection_i, step in sweep(spec, grid):
+        order.append(i)
+        assert np.array_equal(u_i, full.u[i])
+        assert np.array_equal(udot_i, full.udot[i])
+        if style == STYLE_AMERICAN:
+            assert np.array_equal(reflection_i, full.reflection[i])
+        else:
+            assert reflection_i is None
+        if i == spec.steps:
+            assert step is None
+        else:
+            assert step == tuple(
+                np.asarray(field)[i] for field in dataclasses.astuple(full.diagnostics)
+            )
+    assert order == list(range(spec.steps, -1, -1))
+
+
+def test_sweep_checks_its_inputs_when_called(small_grid):
+    # a generator would defer the check to the first row
+    spec = brownian_bsde(1.0, 4, terminal=np.tanh, driver=_zero_driver)
+    with pytest.raises(ValueError, match="grid.center must equal spec.x_init"):
+        sweep(spec, build_grid(1.0, 5.0, 8))
 
 
 def test_storage_cap_is_checked_before_allocating(small_grid, monkeypatch):
