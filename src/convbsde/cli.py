@@ -256,16 +256,15 @@ def _check_start(market: MarketParams, y0: float, z0: float) -> None:
 
 
 def _solve_market(market: MarketParams, numerics: Numerics):
-    """Build and solve the pricing problem; return its start-row surface.
+    """Build and solve the pricing problem; return its start row.
 
-    Every command that calls this reads row 0 alone.  Before the solve
-    the half-width must cover the increment law (DomainCoverageBreach);
-    after it the price and the delta at the start node are checked
-    against their static no-arbitrage bounds (PriceBoundBreach).  Both
-    map to exit code 3.
+    Before the solve the half-width must cover the increment law
+    (DomainCoverageBreach); after it the price and the delta at the
+    start node are checked against their static no-arbitrage bounds
+    (PriceBoundBreach).  Both map to exit code 3.
     """
     problem, grid = _market_problem(market, numerics)
-    surface = solve(problem, grid, full_surface=False)
+    surface = solve(problem, grid)
     _check_start(market, *value_at_start(surface))
     return surface
 
@@ -369,8 +368,8 @@ def cmd_error_surface(config: RunConfig) -> int:
     ref_price, ref_delta = black_scholes_call_curve(
         spots, market.K, market.r, market.div, market.sigma, market.T
     )
-    node_delta = surface.udot[0] / (market.sigma * spots)
-    err_price = np.abs(surface.u[0] - ref_price)
+    node_delta = surface.udot / (market.sigma * spots)
+    err_price = np.abs(surface.u - ref_price)
     err_delta = np.abs(node_delta - ref_delta)
     floor = 1e-300  # keeps log10 finite at exact zeros
     log_errs = np.log10(np.maximum((err_price, err_delta), floor))

@@ -65,6 +65,12 @@ class StepDiagnostics:
     imag_residual is the largest imaginary residual of the step's
     convolutions and reflection_active_nodes counts the nodes where the
     barrier pushed the row up (0 without a barrier).
+
+    An ``explicit_I`` step runs two convolutions with a fit each: the
+    gradient of the next row, then the expectation of the
+    driver-adjusted samples v + dt*f.  Its alpha, beta and kappa are the
+    second fit's; the gradient convolution's fit is not kept, and
+    imag_residual is the larger residual of the two convolutions.
     """
 
     alpha: np.ndarray
@@ -76,22 +82,19 @@ class StepDiagnostics:
 
 @dataclass
 class SolutionSurface:
-    """Node values of the backward pair over the kept time steps.
+    """The start row t_0 of the backward pair, with every step's record.
 
-    u[i, k] approximates Y at (t_i, x_k) and udot[i, k] approximates
-    the diffusion-scaled gradient sigma * dY/dx there, which is the Z
-    component; times[i] is t_i.  A full surface keeps rows 0..n: row n
-    is the terminal payoff and udot's row n is zero.  A start-row
-    surface (``solve(..., full_surface=False)``) keeps row 0 alone, so
-    u, udot and reflection have shape (1, N) and times is [t_0].
-    Column k belongs to the DFT node x_k, k = 0..N-1, the nodes the
-    spectral step computes.  reflection, when present, holds the
-    nonnegative increments that pushed u back above the barrier.
-    diagnostics records every step t_0..t_{n-1} in either storage form.
+    u[k] approximates Y at (t_0, x_k) and udot[k] approximates the
+    diffusion-scaled gradient sigma * dY/dx there, which is the Z
+    component.  Index k belongs to the DFT node x_k, k = 0..N-1, the
+    nodes the spectral step computes, so u, udot and reflection have
+    shape (N,).  reflection, when present, holds the nonnegative
+    increments that pushed the row back above the barrier.  diagnostics
+    records every step t_0..t_{n-1}.  The rows t_1..t_n are not kept:
+    ``sweep`` yields them as it computes them.
     """
 
     grid: GridPair
-    times: np.ndarray
     u: np.ndarray
     udot: np.ndarray
     diagnostics: StepDiagnostics = field(repr=False)

@@ -36,13 +36,16 @@ BOUND_SLACK = 1e-4
 # breach this slack.
 DELTA_SLACK = 1e-3
 # Log-price standard deviations sigma*sqrt(T) the half-width must span
-# beyond the drift |a|*T of the terminal log price, a = mu - div -
-# sigma^2/2.  At n = 1000, N = 4096 and half-width 5 the ATM price is
-# accurate to 7.8e-6 relative at sigma = 1.0 (ratio 5) and 1.3e-4 at
-# sigma = 1.1, but off by 2.1e-3 at sigma = 1.25 and 4.8% at
-# sigma = 1.5.  The drift moves the law's centre off the grid's: at
+# beyond the drift |a|*T of the terminal log price, a the largest in
+# size of mu, r and R, less div + sigma^2/2.  At n = 1000, N = 4096 and
+# half-width 5 the ATM price is accurate to 7.8e-6 relative at
+# sigma = 1.0 (ratio 5) and 1.3e-4 at sigma = 1.1, but off by 2.1e-3 at
+# sigma = 1.25 and 4.8% at sigma = 1.5.  The drift moves the law's centre off the grid's: at
 # sigma = 0.05, div = 0.5 and half-width 0.25 (ratio 5, drift 0.45) the
-# price is 1.568 against 2e-23.
+# price is 1.568 against 2e-23.  The driver's -(mu - r)/sigma*z term
+# prices under the law that drifts at r - div - sigma^2/2, or R - div -
+# sigma^2/2 where the seller borrows: at r = R = 0.5, sigma = 0.05 and
+# half-width 0.3 (drift 0.49875) the price is 37.5144 against 39.347.
 COVERAGE_STDEVS = 5.0
 # Widest half-width a solve keeps accurate.  The periodization's linear
 # term beta*x + kappa grows like S0*exp(half_width), and float64 cancels
@@ -164,31 +167,40 @@ def spot_delta(z0: float, params: MarketParams) -> float:
 
 
 def extract_delta(surface: SolutionSurface, params: MarketParams) -> float:
-    """Spot sensitivity at t=0 from the gradient surface's center node."""
-    return spot_delta(surface.udot[0, surface.grid.N // 2], params)
+    """Spot sensitivity at t=0 from the start row's center node."""
+    return spot_delta(surface.udot[surface.grid.N // 2], params)
 
 
 def check_domain_coverage(params: MarketParams, half_width: float) -> None:
     """Raise DomainCoverageBreach unless the grid's log-price half-width
     spans the drift |a|*T of the terminal log price plus COVERAGE_STDEVS
-    standard deviations sigma*sqrt(T), where a = mu - div - sigma^2/2,
-    is at most MAX_HALF_WIDTH, and its top node ln(S0) + half_width
-    stays at or below MAX_LOG_PRICE.
+    standard deviations sigma*sqrt(T), is at most MAX_HALF_WIDTH, and
+    its top node ln(S0) + half_width stays at or below MAX_LOG_PRICE.
 
-    A narrower domain truncates the increment law (or carries its
-    centre towards an edge) and returns a wrong price, often still
-    inside the static no-arbitrage bounds; a wider one loses the price
-    to float64 cancellation, and at a huge S0 overflows float64 inside
-    the solve.  When no half-width meets all three conditions the
-    message says so instead of suggesting one.
+    a is the largest in size of three drifts: the stock's,
+    mu - div - sigma^2/2, and the pricing law's, r - div - sigma^2/2 at
+    the lending rate and R - div - sigma^2/2 at the borrowing rate; the
+    driver's -(mu - r)/sigma*z term moves the price from the first law
+    to the others.  A narrower domain truncates the increment law (or
+    carries its centre towards an edge) and returns a wrong price,
+    often still inside the static no-arbitrage bounds; a wider one
+    loses the price to float64 cancellation, and at a huge S0 overflows
+    float64 inside the solve.  The message names the drift that binds.
+    When no half-width meets all three conditions it says so instead of
+    suggesting one.
     """
     spread = params.sigma * np.sqrt(params.T)
-    drift = abs(params.log_drift) * params.T
+    carry = params.div + 0.5 * params.sigma * params.sigma
+    rate, a = max(
+        (("mu", params.log_drift), ("r", params.r - carry), ("R", params.R - carry)),
+        key=lambda pair: abs(pair[1]),
+    )
+    drift = abs(a) * params.T
     narrowest = drift + COVERAGE_STDEVS * spread
     needs = (
         f"sigma*sqrt(T) = {spread:.6g} needs a log-price half-width of at "
         f"least {COVERAGE_STDEVS:g} times that plus the drift |a|*T = {drift:.6g} "
-        f"(a = mu - div - sigma^2/2), {narrowest:.6g}"
+        f"(a = {rate} - div - sigma^2/2), {narrowest:.6g}"
     )
     for widest, limit in (
         (MAX_HALF_WIDTH, "the widest log-price half-width float64 keeps accurate"),

@@ -31,9 +31,10 @@ from .transform import (
 
 
 # Largest array storage one solve or path simulation may hold, in
-# bytes (2 GiB).  A full American surface at N=4096 (98,304 bytes a
-# row) fits up to n=21,844; a start-row solve fits on every grid
-# build_grid allows.
+# bytes (2 GiB).  A solve holds its start row (u, udot and, with a
+# barrier, the reflection: 98,304 bytes at N=4096) and a StepDiagnostics
+# record of 40 bytes a step, so an American solve at N=4096 fits up to
+# n=53,684,633.  A path simulation holds five count x (n+1) arrays.
 MAX_STORAGE_BYTES = 2**31
 
 
@@ -101,7 +102,8 @@ def sweep(spec: ProblemSpec, grid: GridPair):
     reflection_i is None without a barrier.  The yielded arrays are
     buffers the next row overwrites: copy what must outlive it.  The
     problem and grid are checked when ``sweep`` is called, before the
-    first row; everything it holds is O(N).
+    first row.  Everything it holds is O(N), whatever n is: the step
+    time t_i = i*dt is formed as the row is computed.
 
     Raises
     ------
@@ -138,7 +140,6 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
     n = spec.steps
     N = grid.N
     dt = spec.step_size
-    times = spec.times()
     reflected = spec.barrier is not None
     # the scalar law and the forward mean x + a*dt of the last constant step
     law = mean = None
@@ -183,7 +184,7 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
     yield n, g_full[:N], np.zeros(N), reflection, None
 
     for i in range(n - 1, -1, -1):
-        t = times[i]
+        t = i * dt  # bitwise spec.times()[i] for i < n
         try:
             a = _node_values(spec.drift, t, x)
             s = _node_values(spec.vol, t, x)
@@ -223,16 +224,14 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
         samples = _extend(u_samples)
 
 
-def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> SolutionSurface:
-    """Run the backward recursion and return the solution surface.
+def solve(spec: ProblemSpec, grid: GridPair) -> SolutionSurface:
+    """Run the backward recursion and return its start row.
 
-    ``sweep`` computes the rows; this keeps copies of them.  The
-    recursion reads only the row computed one step earlier, so
-    ``full_surface=False`` keeps the start row alone: u, udot and the
-    reflection then have shape (1, N) and their row 0 (time t_0) is
-    bitwise equal to row 0 of the full surface.  Memory is O(N)
-    instead of O(n N).  Either way the surface's ``StepDiagnostics``
+    ``sweep`` computes the rows t_n..t_0 and each one is read only to
+    compute the next, so this keeps row t_0 alone: u, udot and the
+    reflection have shape (N,).  The surface's ``StepDiagnostics``
     records every step's fit, residual and active reflection nodes.
+    Take any other row from ``sweep``.
 
     Parameters
     ----------
@@ -240,48 +239,40 @@ def solve(spec: ProblemSpec, grid: GridPair, full_surface: bool = True) -> Solut
         Problem data; its x_init must equal the grid center so the
         initial state sits exactly on the middle node.
     grid : GridPair
-    full_surface : bool
-        Keep every row t_0..t_n (the default) or only the start row.
 
     Raises
     ------
     SolveAborted
         As ``sweep`` does.
     ValueError
-        As ``sweep`` does, or when the kept rows would exceed
-        MAX_STORAGE_BYTES, checked before allocating.
+        As ``sweep`` does, or when the start row and the 40-byte-a-step
+        record would exceed MAX_STORAGE_BYTES, checked before
+        allocating.
     """
     computed = sweep(spec, grid)
     n = spec.steps
     N = grid.N
-    reflected = spec.barrier is not None
-    rows = n + 1 if full_surface else 1
+    row_bytes = N * 8 * (3 if spec.barrier is not None else 2)
+    record_bytes = n * 40  # four float64 and one int64 a step
     check_storage(
-        rows * N * 8 * (3 if reflected else 2),
-        f"a {rows}-row surface at n={n}, log2N={N.bit_length() - 1}",
+        row_bytes + record_bytes,
+        f"a solve at n={n}, log2N={N.bit_length() - 1} (start row {row_bytes} "
+        f"bytes, step record {record_bytes} bytes)",
     )
-    u = np.empty((rows, N))
-    udot = np.empty((rows, N))
-    reflection = np.empty((rows, N)) if reflected else None
     fits = np.empty((4, n))  # alpha, beta, kappa and the residual, per step
-    active = np.empty(n, dtype=int)
+    active = np.empty(n, dtype=np.int64)
 
     for i, u_i, udot_i, reflection_i, step in computed:
         if step is not None:
             fits[:, i] = step[:4]
             active[i] = step[4]
-        if i < rows:  # every row, or row 0 alone
-            u[i] = u_i
-            udot[i] = udot_i
-            if reflected:
-                reflection[i] = reflection_i
 
+    # the sweep ends on row 0, whose buffers nothing overwrites any more
     return SolutionSurface(
         grid=grid,
-        times=spec.times()[:rows].copy(),
-        u=u,
-        udot=udot,
-        reflection=reflection,
+        u=u_i.copy(),
+        udot=udot_i.copy(),
+        reflection=None if reflection_i is None else reflection_i.copy(),
         diagnostics=StepDiagnostics(*fits, active),
     )
 
@@ -293,4 +284,4 @@ def value_at_start(surface: SolutionSurface) -> tuple[float, float]:
     involved.
     """
     mid = surface.grid.N // 2
-    return float(surface.u[0, mid]), float(surface.udot[0, mid])
+    return float(surface.u[mid]), float(surface.udot[mid])

@@ -66,18 +66,14 @@ def reference_prices():
 
 @pytest.fixture(scope="module")
 def frictionless_sweep(log_grid):
-    """(scheme, K, n) -> (price, delta) for the equal-rates call.
-
-    Price and delta read only row 0, and a start-row solve is bitwise
-    equal to row 0 of a full one.
-    """
+    """(scheme, K, n) -> (price, delta) for the equal-rates call."""
     results = {}
     for scheme in SCHEMES:
         for K in STRIKES:
             market = MarketParams(K=K)
             for n in MESHES:
                 problem = build_pricing_problem(market, n, scheme)
-                surface = solve(problem, log_grid, full_surface=False)
+                surface = solve(problem, log_grid)
                 price, _ = value_at_start(surface)
                 results[(scheme, K, n)] = (price, extract_delta(surface, market))
     return results
@@ -196,8 +192,8 @@ def test_criterion_6_dividend_early_exercise_premium(log_grid):
     )
 
 
-def test_criterion_7_property_suite(tmp_path):
-    # (a) zero driver, constant payoff: the surface is that constant
+def test_criterion_7_property_suite(tmp_path, every_row):
+    # (a) zero driver, constant payoff: every row of the surface is that constant
     grid8 = build_grid(0.0, 3.0, 8)
     for scheme in SCHEMES:
         spec = brownian_bsde(
@@ -207,9 +203,9 @@ def test_criterion_7_property_suite(tmp_path):
             driver=lambda t, x, y, z: np.zeros_like(x),
             scheme=scheme,
         )
-        surface = solve(spec, grid8)
-        assert np.max(np.abs(surface.u - 3.0)) <= 1e-10
-        assert np.max(np.abs(surface.udot)) <= 1e-10
+        u, udot, _ = every_row(spec, grid8)
+        assert np.max(np.abs(u - 3.0)) <= 1e-10
+        assert np.max(np.abs(udot)) <= 1e-10
 
     # (b) spectral step vs dense real-space quadrature on smooth bumps
     gq = build_grid(0.0, 4.0, 8)
@@ -244,7 +240,8 @@ def test_criterion_7_property_suite(tmp_path):
         assert abs(mod[0] - mod[-1]) / scale <= 1e-8
         assert abs(da - db) / scale <= 1e-8
 
-    # (e) reflected solve: nonnegative increments, solution above barrier
+    # (e) reflected solve: nonnegative increments, solution above barrier,
+    # on every row
     reflected_spec = fbsde(
         horizon=0.5,
         steps=10,
@@ -255,10 +252,10 @@ def test_criterion_7_property_suite(tmp_path):
         driver=lambda t, x, y, z: np.full_like(x, -1.0),
         barrier=lambda t, x: np.abs(x),
     )
-    refl = solve(reflected_spec, grid8)
+    u, _, reflection = every_row(reflected_spec, grid8)
     xs8 = grid8.space_nodes()
-    assert np.min(refl.reflection) >= 0.0
-    assert np.min(refl.u[:, : grid8.N] - np.abs(xs8)[None, :]) >= -1e-12
+    assert np.min(reflection) >= 0.0
+    assert np.min(u - np.abs(xs8)[None, :]) >= -1e-12
 
     # (f) state-dependent path equals the fast path on constant data
     g7 = build_grid(1.0, 2.0, 7)

@@ -286,7 +286,22 @@ def test_price_keeps_only_the_start_row():
     assert peak < 2 * 2**20
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oversized_step_record_is_a_config_error(capsys):
+    # 10**8 steps of StepDiagnostics would take 4 GB: the solve is refused
+    # before anything of length n is allocated
+    tracemalloc.start()
+    try:
+        rc = main(["price", "--n", "100000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a solve at n=100000000, log2N=12 ")
+    assert f"step record {40 * 10**8} bytes" in err
+
+
 @pytest.mark.parametrize(
     "flags, bound",
     [
@@ -305,31 +320,63 @@ def test_price_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, ca
 
 
 @pytest.mark.parametrize(
-    "flags, bound",
+    "flags, breach",
     [
-        # mu = sigma^2/2 + div makes the log-price drift 0, so the domain
-        # passes the coverage check.  Rate 0.5 moves the risk-neutral log
-        # price by about 0.5 over T = 1, twice the half-width
-        (["--rate", "0.5", "--borrow-rate", "0.5", "--mu", "0.00125", "--sigma", "0.05",
-          "--half-width", "0.26"],
-         "delta 1.01741 is outside the no-arbitrage bounds "
-         "0 <= delta <= exp(-div*T) = 1 "),
-        # div 0.5 moves it by about -0.5
-        (["--div", "0.5", "--mu", "0.50125", "--sigma", "0.05", "--half-width", "0.26"],
-         "delta -0.151052 is outside the no-arbitrage bounds "
-         "0 <= delta <= exp(-div*T) = 0.606531 "),
+        # ten steps are too coarse for a call struck at 20: the time-stepping
+        # error lifts the delta of this deep in-the-money call above 1
+        (["--strike", "20", "--n", "10"], "delta 1.0049 is outside the no-arbitrage "
+         "bounds 0 <= delta <= exp(-div*T) = 1 "),
+        (["--strike", "20", "--n", "10", "--style", "american"], "delta 1.0049 is outside "
+         "the no-arbitrage bounds 0 <= delta <= 1 = 1 "),
+        # the driver's -(mu - r)/sigma*z term is stiff at mu = 2: fifty
+        # steps push the delta far below 0
+        (["--mu", "2", "--strike", "150", "--n", "50"], "delta -4.63781 is outside the "
+         "no-arbitrage bounds 0 <= delta <= exp(-div*T) = 1 "),
     ],
-    ids=["rate", "div"],
+    ids=["european", "american", "lower"],
 )
-def test_delta_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, capsys):
-    # the physical law stays on the grid but the pricing law leaves it;
-    # only the delta shows it
+def test_delta_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, breach, capsys):
+    # the half-width 5 covers these laws: only the delta shows the error
     rc = main(["price", *flags])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert bound in captured.err
+    assert breach in captured.err
     assert "--half-width" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, drift, rate, narrowest",
+    [
+        # the driver prices under the law that drifts at r - div - sigma^2/2:
+        # this printed 37.5144 with exit 0 against Black-Scholes 39.347
+        (["--rate", "0.5", "--borrow-rate", "0.5", "--sigma", "0.05", "--half-width", "0.3"],
+         "0.49875", "r", "0.74875"),
+        # and at R - div - sigma^2/2 where the seller borrows: this printed
+        # 44.0190 with exit 0, against 45.1286 at half-widths 0.75 to 1
+        (["--rate", "0.01", "--borrow-rate", "0.6", "--sigma", "0.05", "--half-width", "0.45"],
+         "0.59875", "R", "0.84875"),
+        # mu = sigma^2/2 + div makes the stock's log-price drift 0; only the
+        # delta bound used to stop these two (delta 1.01741 and -0.151052)
+        (["--rate", "0.5", "--borrow-rate", "0.5", "--mu", "0.00125", "--sigma", "0.05",
+          "--half-width", "0.26"],
+         "0.49875", "r", "0.74875"),
+        (["--div", "0.5", "--mu", "0.50125", "--sigma", "0.05", "--half-width", "0.26"],
+         "0.49125", "r", "0.74125"),
+    ],
+    ids=["lending", "borrowing", "rate", "div"],
+)
+def test_pricing_law_drift_that_leaves_the_domain_is_a_numerical_abort(
+    flags, drift, rate, narrowest, capsys
+):
+    rc = main(["price", *flags])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"the drift |a|*T = {drift} (a = {rate} - div - sigma^2/2)" in captured.err
+    assert f"use --half-width {narrowest} or more" in captured.err
+    assert "delta" not in captured.err
+    assert main(["price", *flags, "--half-width", narrowest]) == 0
 
 
 def test_overflowing_dampening_aborts_without_a_runtime_warning(capsys):
@@ -345,7 +392,7 @@ def test_overflowing_dampening_aborts_without_a_runtime_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolveAborted) as info:
-            solve(spec, build_grid(spec.x_init, 0.01, 12), full_surface=False)
+            solve(spec, build_grid(spec.x_init, 0.01, 12))
     message = str(info.value)
     assert "solve aborted at step 3: dampening alpha = -233.95 takes exp(-alpha*x)" in message
     assert "at the domain end x = 4.61517" in message
@@ -454,21 +501,23 @@ def test_widest_suggested_half_width_passes_the_domain_check():
 
 
 def test_drift_that_leaves_the_domain_is_a_numerical_abort(capsys):
-    # five standard deviations fit, but the drift |a|*T = 0.45125 carries
-    # the law off the grid; only the delta bound used to catch it
+    # five standard deviations fit, but the drifts carry the law off the
+    # grid: the stock's |a|*T = 0.45125, and the pricing law's at the
+    # rate, 0.49125, binds; only the delta bound used to catch it
     rc = main(["price", "--div", "0.5", "--sigma", "0.05", "--half-width", "0.25"])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert "the drift |a|*T = 0.45125" in captured.err
-    assert "use --half-width 0.70125 or more" in captured.err
+    assert "the drift |a|*T = 0.49125 (a = r - div - sigma^2/2)" in captured.err
+    assert "use --half-width 0.74125 or more" in captured.err
     assert "delta" not in captured.err
-    assert main(["price", "--div", "0.5", "--sigma", "0.05", "--half-width", "0.70125"]) == 0
+    assert main(["price", "--div", "0.5", "--sigma", "0.05", "--half-width", "0.74125"]) == 0
 
 
 def test_widening_the_domain_passes_the_coverage_check(capsys):
-    # sigma = 1.5 needs 5*1.5 plus the drift |0.05 - 1.125| = 1.075
-    rc = main(["price", "--n", "50", "--log2N", "8", "--sigma", "1.5", "--half-width", "8.575"])
+    # sigma = 1.5 needs 5*1.5 plus the drift |0.01 - 1.125| = 1.115 of the
+    # pricing law (the stock's is |0.05 - 1.125| = 1.075)
+    rc = main(["price", "--n", "50", "--log2N", "8", "--sigma", "1.5", "--half-width", "8.615"])
     assert rc == 0
     price = float(_parse_kv(capsys.readouterr().out.splitlines()[0])["price"])
     ref = black_scholes_call(100.0, 100.0, 0.01, 0.0, 1.5, 1.0).price
@@ -485,12 +534,11 @@ def test_widening_the_domain_passes_the_coverage_check(capsys):
     sigma=st.floats(0.01, 3.0),
     T=st.floats(0.01, 5.0),
     style=st.sampled_from(STYLES),
-    half_width=st.floats(0.5, 800.0),
+    half_width=st.floats(0.5, 16.0),
     log2N=st.integers(8, 10),
     n=st.integers(10, 200),
 )
 @settings(max_examples=25, deadline=None)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_every_market_prices_in_bounds_or_fails_with_a_message(
     S0, K, r, spread, mu, div, sigma, T, style, half_width, log2N, n
 ):
@@ -532,9 +580,10 @@ def test_oversized_paths_request_is_a_config_error(capsys):
     assert f"50 paths at n=10000000 needs {50 * (10**7 + 1) * 8 * 5} bytes" in captured.err
 
 
-def test_paths_fits_a_cap_below_the_full_surface(tmp_path, monkeypatch, capsys):
-    # the full American surface is 51 rows of 3 x 1024 doubles, the path
-    # arrays 5 x 2 x 51 doubles; a cap between them used to refuse paths
+def test_paths_fits_a_cap_below_every_row_of_the_surface(tmp_path, monkeypatch, capsys):
+    # every row of the American surface is 51 rows of 3 x 1024 doubles,
+    # the path arrays 5 x 2 x 51 doubles; a cap between them used to
+    # refuse paths
     argv = ["paths", "--style", "american", "--div", "0.035", "--n", "50", "--log2N", "10",
             "--paths", "2", "--out", str(tmp_path / "paths.csv")]
     surface_bytes = 51 * 1024 * 8 * 3
@@ -605,21 +654,18 @@ def test_table_uses_tree_reference_when_rates_differ(tmp_path):
     assert float(rows[0]["rel_err_pct"]) <= 0.1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--div", "0.5", "--mu", "0.50125", "--sigma", "0.05", "--half-width", "0.26"],
-         "outside the no-arbitrage bounds"),
-        (["--sigma", "2.0"], "--half-width 5 is 2.5 times sigma*sqrt(T)"),
+        (["--strikes", "20", "--n-list", "10"],
+         "delta 1.0049 is outside the no-arbitrage bounds"),
+        (["--sigma", "2.0", "--strikes", "100", "--n-list", "50"],
+         "--half-width 5 is 2.5 times sigma*sqrt(T)"),
     ],
 )
 def test_table_marks_a_numerical_abort_as_a_failed_cell(flags, message, tmp_path, capsys):
     out = tmp_path / "table.csv"
-    rc = main(
-        ["table", *flags, "--log2N", "8", "--strikes", "100", "--n-list", "50",
-         "--schemes", "explicit2", "--out", str(out)]
-    )
+    rc = main(["table", *flags, "--log2N", "8", "--schemes", "explicit2", "--out", str(out)])
     # the CSV is still written, and the failed cell sets exit code 3
     assert rc == 3
     (row,) = _read_csv(out)

@@ -37,7 +37,7 @@ def test_bundle_shapes_and_metadata(european_setup):
     for arr in (paths.x, paths.y, paths.z, paths.a):
         assert arr.shape == (7, spec.steps + 1)
     assert paths.clamped.shape == (7,) and paths.clamped.dtype == bool
-    assert np.array_equal(paths.times, surface.times)
+    assert np.array_equal(paths.times, spec.times())
     # row j is the path whose generator is seeded with (seed, j)
     dt = spec.step_size
     drift, vol = spec.drift(0.0, spec.x_init), spec.vol(0.0, spec.x_init)
@@ -53,8 +53,8 @@ def test_paths_start_at_initial_state(european_setup):
     assert np.all(paths.x[:, 0] == spec.x_init)
     # the start sits exactly on the center node, so the read-off is
     # exact, not interpolated
-    assert np.all(paths.y[:, 0] == surface.u[0, mid])
-    assert np.all(paths.z[:, 0] == surface.udot[0, mid])
+    assert np.all(paths.y[:, 0] == surface.u[mid])
+    assert np.all(paths.z[:, 0] == surface.udot[mid])
 
 
 def test_unreflected_problem_has_zero_reflection_path(european_setup):
@@ -132,11 +132,12 @@ def test_path_storage_is_checked_before_allocating(european_setup, monkeypatch):
         simulate_paths(spec, grid, count=3, seed=1)
 
 
-def _paths_over_surface(spec, surface, count, seed):
-    """Paths read off a stored full surface: the simulation before the
-    rows were streamed, kept as the reference."""
+def _paths_over_surface(spec, grid, rows, count, seed):
+    """Paths read off the stacked rows (u, udot, reflection) of every
+    time step: the simulation before the rows were streamed, kept as
+    the reference."""
+    u, udot, reflection = rows
     n = spec.steps
-    grid = surface.grid
     nodes = grid.space_nodes()
     x_left = grid.x0
     x_right = grid.x0 + grid.l
@@ -161,11 +162,11 @@ def _paths_over_surface(spec, surface, count, seed):
     z = np.empty((count, n + 1))
     a = np.zeros((count, n + 1))
     for i in range(n + 1):
-        y[:, i] = np.interp(x[:, i], nodes, surface.u[i])
-        z[:, i] = np.interp(x[:, i], nodes, surface.udot[i])
-    if surface.reflection is not None:
+        y[:, i] = np.interp(x[:, i], nodes, u[i])
+        z[:, i] = np.interp(x[:, i], nodes, udot[i])
+    if reflection is not None:
         for i in range(n):
-            a[:, i + 1] = a[:, i] + np.interp(x[:, i], nodes, surface.reflection[i])
+            a[:, i + 1] = a[:, i] + np.interp(x[:, i], nodes, reflection[i])
     return x, y, z, a, clamped
 
 
@@ -192,10 +193,10 @@ def _streamed_case(scheme, style):
 
 @pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
 @pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "localvol"])
-def test_streamed_paths_equal_paths_over_the_full_surface(scheme, style):
+def test_streamed_paths_equal_paths_over_every_row(scheme, style, every_row):
     spec, grid = _streamed_case(scheme, style)
     paths = simulate_paths(spec, grid, count=40, seed=17)
-    x, y, z, a, clamped = _paths_over_surface(spec, solve(spec, grid), 40, 17)
+    x, y, z, a, clamped = _paths_over_surface(spec, grid, every_row(spec, grid), 40, 17)
     for got, want in ((paths.x, x), (paths.y, y), (paths.z, z), (paths.a, a)):
         assert np.array_equal(got, want)
     assert np.array_equal(paths.clamped, clamped)

@@ -144,7 +144,7 @@ def test_extract_delta_reads_center_gradient(pricing_grid):
     m = MarketParams()
     surface = solve(build_pricing_problem(m, 60, EXPLICIT_II), pricing_grid)
     mid = pricing_grid.N // 2
-    expected = surface.udot[0, mid] / (m.sigma * m.S0)
+    expected = surface.udot[mid] / (m.sigma * m.S0)
     assert extract_delta(surface, m) == expected
 
 
@@ -201,29 +201,32 @@ def test_delta_bounds_allow_the_static_range_plus_slack(market, upper, bound):
 def test_domain_coverage_needs_drift_plus_five_standard_deviations(sigma, T):
     market = MarketParams(sigma=sigma, T=T)
     spread = sigma * np.sqrt(T)
-    drift = abs(market.mu - market.div - 0.5 * sigma * sigma) * T
-    assert drift > 0.0
+    # the pricing law at the rate r = R drifts further than the stock
+    drift = abs(market.r - market.div - 0.5 * sigma * sigma) * T
+    assert drift > abs(market.log_drift) * T
     narrowest = drift + COVERAGE_STDEVS * spread
     check_domain_coverage(market, narrowest)
     narrow = np.nextafter(narrowest, 0.0)
     with pytest.raises(DomainCoverageBreach, match="--half-width") as info:
         check_domain_coverage(market, narrow)
     assert f"sigma*sqrt(T) = {spread:g}" in str(info.value)
-    assert f"the drift |a|*T = {drift:.6g}" in str(info.value)
+    assert f"the drift |a|*T = {drift:.6g} (a = r - div - sigma^2/2)" in str(info.value)
     suggested = re.search(r"use --half-width (\S+) or more", str(info.value)).group(1)
     assert float(suggested) == pytest.approx(narrowest, rel=1e-5)
     check_domain_coverage(market, float(suggested))
     # without drift, five standard deviations are enough
-    driftless = MarketParams(sigma=sigma, T=T, mu=0.5 * sigma * sigma)
+    half_var = 0.5 * sigma * sigma
+    driftless = MarketParams(sigma=sigma, T=T, mu=half_var, r=half_var, R=half_var)
     check_domain_coverage(driftless, COVERAGE_STDEVS * spread)
 
 
 def test_domain_coverage_says_when_no_half_width_serves():
     # at 5*sigma*sqrt(T) = MAX_HALF_WIDTH exactly one half-width passes;
     # one ulp more sigma leaves none, whatever half-width is asked for
-    # (mu = sigma^2/2 makes the log-price drift 0)
+    # (mu = r = R = sigma^2/2 makes every log-price drift 0)
     sigma = MAX_HALF_WIDTH / COVERAGE_STDEVS
-    market = MarketParams(sigma=sigma, mu=0.5 * sigma * sigma)
+    half_var = 0.5 * sigma * sigma
+    market = MarketParams(sigma=sigma, mu=half_var, r=half_var, R=half_var)
     check_domain_coverage(market, MAX_HALF_WIDTH)
     wider = dataclasses.replace(market, sigma=np.nextafter(sigma, np.inf))
     for half_width in (5.0, MAX_HALF_WIDTH, 20.0):

@@ -44,9 +44,9 @@ def small_grid():
 
 
 @pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
-def test_constant_terminal_is_reproduced_exactly(small_grid, scheme):
-    # zero driver and constant payoff: the value surface is that
-    # constant and the diffusion-scaled gradient vanishes
+def test_constant_terminal_is_reproduced_exactly(small_grid, scheme, every_row):
+    # zero driver and constant payoff: every row of the value surface is
+    # that constant and the diffusion-scaled gradient vanishes
     spec = brownian_bsde(
         horizon=1.0,
         steps=20,
@@ -54,10 +54,10 @@ def test_constant_terminal_is_reproduced_exactly(small_grid, scheme):
         driver=_zero_driver,
         scheme=scheme,
     )
-    surface = solve(spec, small_grid)
-    assert np.max(np.abs(surface.u - 3.0)) <= 1e-10
-    assert np.max(np.abs(surface.udot)) <= 1e-10
-    y0, z0 = value_at_start(surface)
+    u, udot, _ = every_row(spec, small_grid)
+    assert np.max(np.abs(u - 3.0)) <= 1e-10
+    assert np.max(np.abs(udot)) <= 1e-10
+    y0, z0 = value_at_start(solve(spec, small_grid))
     assert y0 == pytest.approx(3.0, abs=1e-12)
     assert z0 == pytest.approx(0.0, abs=1e-12)
 
@@ -71,8 +71,8 @@ def test_linear_terminal_is_a_martingale(small_grid):
     xs = small_grid.space_nodes()
     n0 = small_grid.N // 8
     interior = slice(n0, small_grid.N - n0)
-    assert np.max(np.abs(surface.u[0, interior] - xs[interior])) <= 1e-10
-    assert np.max(np.abs(surface.udot[0, interior] - 1.0)) <= 1e-10
+    assert np.max(np.abs(surface.u[interior] - xs[interior])) <= 1e-10
+    assert np.max(np.abs(surface.udot[interior] - 1.0)) <= 1e-10
 
 
 def test_gradient_tracks_space_derivative(small_grid):
@@ -85,10 +85,10 @@ def test_gradient_tracks_space_derivative(small_grid):
         driver=lambda t, x, y, z: -0.1 * y,
     )
     surface = solve(spec, small_grid)
-    fd = np.gradient(surface.u[0], small_grid.dx)
+    fd = np.gradient(surface.u, small_grid.dx)
     n0 = small_grid.N // 8
     interior = slice(n0, small_grid.N - n0)
-    rel = np.abs(surface.udot[0] - fd)[interior] / (np.abs(fd[interior]) + 1e-6)
+    rel = np.abs(surface.udot - fd)[interior] / (np.abs(fd[interior]) + 1e-6)
     assert np.max(rel) <= 1e-2
 
 
@@ -106,20 +106,21 @@ def _reflected_toy(barrier, scheme=EXPLICIT_II):
     )
 
 
-def test_reflection_keeps_solution_above_barrier(small_grid):
-    reflected = solve(_reflected_toy(lambda t, x: np.abs(x)), small_grid)
-    free = solve(_reflected_toy(None), small_grid)
+def test_reflection_keeps_solution_above_barrier(small_grid, every_row):
+    # on every row t_0..t_n
+    u, _, reflection = every_row(_reflected_toy(lambda t, x: np.abs(x)), small_grid)
+    free, _, no_reflection = every_row(_reflected_toy(None), small_grid)
     xs = small_grid.space_nodes()
-    assert reflected.reflection is not None
-    assert reflected.reflection.shape == reflected.u.shape
-    assert np.min(reflected.reflection) >= 0.0
+    assert no_reflection is None
+    assert reflection.shape == u.shape
+    assert np.min(reflection) >= 0.0
     # the negative driver pulls the free solution below the payoff, so
     # the constraint must actually bind somewhere
-    assert np.count_nonzero(reflected.reflection) > 0
-    assert np.min(reflected.u - np.abs(xs)[None, :]) >= -1e-12
-    assert np.min(reflected.u - free.u) >= -1e-12
+    assert np.count_nonzero(reflection) > 0
+    assert np.min(u - np.abs(xs)[None, :]) >= -1e-12
+    assert np.min(u - free) >= -1e-12
     # terminal row carries no reflection increment
-    assert np.array_equal(reflected.reflection[-1], np.zeros(small_grid.N))
+    assert np.array_equal(reflection[-1], np.zeros(small_grid.N))
 
 
 def test_barrier_above_terminal_payoff_is_rejected(small_grid):
@@ -441,10 +442,10 @@ def test_non_vectorized_terminal_is_rejected(small_grid):
         solve(spec, small_grid)
 
 
-def test_diagnostics_record_every_step(small_grid):
+def test_diagnostics_record_every_step(small_grid, every_row):
     spec = _reflected_toy(lambda t, x: np.abs(x))
-    surface = solve(spec, small_grid)
-    diags = surface.diagnostics
+    diags = solve(spec, small_grid).diagnostics
+    _, _, reflection = every_row(spec, small_grid)
     for values in dataclasses.astuple(diags):
         assert values.shape == (spec.steps,)
     # entry i is the step that computes row t_i: the last one fits the
@@ -456,7 +457,7 @@ def test_diagnostics_record_every_step(small_grid):
     )
     assert np.array_equal(
         diags.reflection_active_nodes,
-        np.count_nonzero(surface.reflection[:-1], axis=1),
+        np.count_nonzero(reflection[:-1], axis=1),
     )
     assert np.all((diags.imag_residual >= 0.0) & (diags.imag_residual <= 1e-8))
     assert np.all(np.isfinite(diags.alpha))
@@ -581,8 +582,8 @@ def test_value_at_start_reads_center_node(small_grid):
     surface = solve(spec, small_grid)
     mid = small_grid.N // 2
     y0, z0 = value_at_start(surface)
-    assert y0 == surface.u[0, mid]
-    assert z0 == surface.udot[0, mid]
+    assert y0 == surface.u[mid]
+    assert z0 == surface.udot[mid]
 
 
 def _localvol_spec(scheme):
@@ -607,73 +608,83 @@ def _surface_case(scheme, style):
     return spec, build_grid(spec.x_init, 2.0, 8)
 
 
-@pytest.mark.parametrize("full_surface", [True, False], ids=["full", "start-row"])
 @pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
 @pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
-def test_every_surface_array_has_one_column_per_dft_node(scheme, style, full_surface):
+def test_every_surface_array_has_one_column_per_dft_node(scheme, style):
     # the solver computes x_0..x_{N-1} and stores nothing else: the
-    # right endpoint x_N only feeds the periodization fit
+    # right endpoint x_N only feeds the periodization fit.  solve keeps
+    # the start row, and sweep yields rows of the same shape.
     spec, grid = _surface_case(scheme, style)
-    surface = solve(spec, grid, full_surface=full_surface)
-    rows = spec.steps + 1 if full_surface else 1
-    assert surface.u.shape == surface.udot.shape == (rows, grid.N)
-    assert surface.times.shape == (rows,)
+    surface = solve(spec, grid)
+    assert surface.u.shape == surface.udot.shape == (grid.N,)
+    assert not hasattr(surface, "times")
     if style == STYLE_AMERICAN:
-        assert surface.reflection.shape == (rows, grid.N)
+        assert surface.reflection.shape == (grid.N,)
     else:
         assert surface.reflection is None
-    if full_surface:
-        x = grid.space_nodes()
-        assert np.array_equal(surface.u[-1], spec.terminal(x))
-        assert np.array_equal(surface.udot[-1], np.zeros(grid.N))
-
-
-@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
-@pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
-def test_start_row_solve_is_row_zero_of_the_full_solve(scheme, style):
-    spec, grid = _surface_case(scheme, style)
-    full = solve(spec, grid)
-    start = solve(spec, grid, full_surface=False)
-    shape = (1, grid.N)
-    assert start.u.shape == start.udot.shape == shape
-    assert np.array_equal(start.times, [0.0])
-    assert np.array_equal(start.u[0], full.u[0])
-    assert np.array_equal(start.udot[0], full.udot[0])
-    if style == STYLE_AMERICAN:
-        assert start.reflection.shape == shape
-        assert np.count_nonzero(full.reflection[0]) > 0
-        assert np.array_equal(start.reflection[0], full.reflection[0])
-    else:
-        assert start.reflection is None and full.reflection is None
-    for kept, every in zip(
-        dataclasses.astuple(start.diagnostics), dataclasses.astuple(full.diagnostics)
-    ):
-        assert kept.shape == (spec.steps,)
-        assert np.array_equal(kept, every)
-    assert value_at_start(start) == value_at_start(full)
-
-
-@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
-@pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
-def test_sweep_yields_the_surface_rows_backward_in_time(scheme, style):
-    spec, grid = _surface_case(scheme, style)
-    full = solve(spec, grid)
-    order = []
-    for i, u_i, udot_i, reflection_i, step in sweep(spec, grid):
-        order.append(i)
-        assert np.array_equal(u_i, full.u[i])
-        assert np.array_equal(udot_i, full.udot[i])
+    for i, u_i, udot_i, reflection_i, _ in sweep(spec, grid):
+        assert u_i.shape == udot_i.shape == (grid.N,)
         if style == STYLE_AMERICAN:
-            assert np.array_equal(reflection_i, full.reflection[i])
-        else:
+            assert reflection_i.shape == (grid.N,)
+        if i == spec.steps:
+            x = grid.space_nodes()
+            assert np.array_equal(u_i, spec.terminal(x))
+            assert np.array_equal(udot_i, np.zeros(grid.N))
+
+
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
+def test_solve_keeps_row_zero_of_the_sweep(scheme, style, every_row):
+    spec, grid = _surface_case(scheme, style)
+    start = solve(spec, grid)
+    u, udot, reflection = every_row(spec, grid)
+    assert np.array_equal(start.u, u[0])
+    assert np.array_equal(start.udot, udot[0])
+    if style == STYLE_AMERICAN:
+        assert np.count_nonzero(reflection[0]) > 0
+        assert np.array_equal(start.reflection, reflection[0])
+    else:
+        assert start.reflection is None and reflection is None
+    for kept in dataclasses.astuple(start.diagnostics):
+        assert kept.shape == (spec.steps,)
+    mid = grid.N // 2
+    assert value_at_start(start) == (u[0, mid], udot[0, mid])
+
+
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize("style", [STYLE_EUROPEAN, STYLE_AMERICAN, "statedep"])
+def test_sweep_yields_the_rows_backward_in_time(scheme, style):
+    # row i carries the entries the solve records for step i
+    spec, grid = _surface_case(scheme, style)
+    diagnostics = dataclasses.astuple(solve(spec, grid).diagnostics)
+    order = []
+    for i, _, _, reflection_i, step in sweep(spec, grid):
+        order.append(i)
+        if style != STYLE_AMERICAN:
             assert reflection_i is None
         if i == spec.steps:
             assert step is None
         else:
-            assert step == tuple(
-                np.asarray(field)[i] for field in dataclasses.astuple(full.diagnostics)
-            )
+            assert step == tuple(np.asarray(field)[i] for field in diagnostics)
     assert order == list(range(spec.steps, -1, -1))
+
+
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize("horizon, steps", [(1.0, 10), (0.7, 37), (5.0, 999), (1e-4, 3)])
+def test_sweep_steps_at_the_mesh_times(horizon, steps, scheme):
+    # t_i = i*dt is formed in the loop; it must be the mesh point itself
+    seen = []
+
+    def driver(t, x, y, z):
+        seen.append(t)
+        return -0.1 * y
+
+    spec = brownian_bsde(horizon, steps, terminal=np.tanh, driver=driver, scheme=scheme)
+    # dx = sqrt(dt)/2 resolves every step's kernel
+    grid = build_grid(0.0, 64.0 * np.sqrt(spec.step_size), 8)
+    for _ in sweep(spec, grid):
+        pass
+    assert np.array_equal(np.array(seen[::-1]), spec.times()[:steps])
 
 
 def test_sweep_checks_its_inputs_when_called(small_grid):
@@ -683,25 +694,43 @@ def test_sweep_checks_its_inputs_when_called(small_grid):
         sweep(spec, build_grid(1.0, 5.0, 8))
 
 
+def test_sweep_holds_nothing_of_length_n():
+    # 10**7 steps of dt = 0.1 on 2^6 nodes: the first rows need O(N)
+    # memory, where a mesh-time array alone would be 80 MB
+    spec = brownian_bsde(1e6, 10**7, terminal=np.tanh, driver=_zero_driver)
+    grid = build_grid(0.0, 2.0, 6)
+    tracemalloc.start()
+    try:
+        rows = sweep(spec, grid)
+        taken = [next(rows)[0] for _ in range(3)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taken == [10**7, 10**7 - 1, 10**7 - 2]
+    assert peak < 2**20
+
+
 def test_storage_cap_is_checked_before_allocating(small_grid, monkeypatch):
+    # a solve holds its start row and 40 bytes a step of StepDiagnostics
     reflected = _reflected_toy(lambda t, x: np.abs(x))  # 10 steps, 3 arrays
     row_bytes = small_grid.N * 8 * 3
-    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", 11 * row_bytes)
+    needed = row_bytes + 10 * 40
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", needed)
     solve(reflected, small_grid)
-    solve(reflected, small_grid, full_surface=False)
-    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", 11 * row_bytes - 1)
-    with pytest.raises(ValueError, match=f"needs {11 * row_bytes} bytes"):
+    # room for the start row but not for the record
+    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", needed - 1)
+    with pytest.raises(ValueError) as info:
         solve(reflected, small_grid)
-    solve(reflected, small_grid, full_surface=False)
-    monkeypatch.setattr(solver_module, "MAX_STORAGE_BYTES", row_bytes - 1)
-    with pytest.raises(ValueError, match="a 1-row surface at n=10, log2N=8"):
-        solve(reflected, small_grid, full_surface=False)
+    assert str(info.value) == (
+        f"a solve at n=10, log2N=8 (start row {row_bytes} bytes, step record 400 bytes) "
+        f"needs {needed} bytes, above the {needed - 1}-byte storage cap"
+    )
 
 
-def test_oversized_full_surface_fails_without_allocating():
-    # 10**7 + 1 rows of two 4096-node arrays would be 655 GB
+def test_oversized_step_record_fails_without_allocating():
+    # 10**8 steps of StepDiagnostics would be 4 GB, whatever the grid
     grid = build_grid(0.0, 5.0, 12)
-    spec = brownian_bsde(1.0, 10**7, terminal=np.tanh, driver=_zero_driver)
+    spec = brownian_bsde(1.0, 10**8, terminal=np.tanh, driver=_zero_driver)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as exc_info:
@@ -711,8 +740,9 @@ def test_oversized_full_surface_fails_without_allocating():
         tracemalloc.stop()
     assert peak < 2**20
     message = str(exc_info.value)
-    assert "n=10000000, log2N=12" in message
-    assert f"needs {(10**7 + 1) * 4096 * 16} bytes" in message
+    assert "n=100000000, log2N=12" in message
+    assert f"step record {10**8 * 40} bytes" in message
+    assert f"needs {4096 * 16 + 10**8 * 40} bytes" in message
 
 
 @pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
@@ -730,7 +760,7 @@ def test_nearly_tied_boundary_slopes_keep_the_solution_accurate(c, tol, scheme):
         horizon, 50, terminal=lambda x: x + c * x * x, driver=_zero_driver, scheme=scheme
     )
     grid = build_grid(0.0, 5.0, 10)
-    y0 = solve(spec, grid, full_surface=False).u[0]
+    y0 = solve(spec, grid).u
     x = grid.space_nodes()
     exact = x + c * (x * x + horizon)
     middle = slice(grid.N // 4, 3 * grid.N // 4)
