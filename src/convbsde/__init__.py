@@ -43,6 +43,7 @@ from .spectral import (
     IMAG_RESIDUAL_TOLERANCE,
     ImaginaryResidualError,
     IncrementSpectrum,
+    NodeLaws,
     convolve_step,
     convolve_step_statedep,
     dft,
@@ -97,6 +98,7 @@ __all__ = [
     "IMAG_RESIDUAL_TOLERANCE",
     "ImaginaryResidualError",
     "IncrementSpectrum",
+    "NodeLaws",
     "convolve_step",
     "convolve_step_statedep",
     "dft",

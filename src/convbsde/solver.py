@@ -18,6 +18,7 @@ from .model import EXPLICIT_I, EXPLICIT_II, ProblemSpec, SolutionSurface, StepDi
 from .spectral import (
     ImaginaryResidualError,
     IncrementSpectrum,
+    NodeLaws,
     convolve_step,
     convolve_step_statedep,
 )
@@ -102,8 +103,9 @@ def sweep(spec: ProblemSpec, grid: GridPair):
     reflection_i is None without a barrier.  The yielded arrays are
     buffers the next row overwrites: copy what must outlive it.  The
     problem and grid are checked when ``sweep`` is called, before the
-    first row.  Everything it holds is O(N), whatever n is: the step
-    time t_i = i*dt is formed as the row is computed.
+    first row.  Nothing it holds grows with n: O(N) buffers, the step's
+    ``IncrementSpectrum`` or ``NodeLaws``, freed when the sweep ends,
+    and the step time t_i = i*dt, formed as the row is computed.
 
     Raises
     ------
@@ -141,16 +143,18 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
     N = grid.N
     dt = spec.step_size
     reflected = spec.barrier is not None
-    # the scalar law and the forward mean x + a*dt of the last constant step
+    # the law of the last step: an IncrementSpectrum and its forward mean
+    # x + a*dt for scalar drift and vol, NodeLaws for per-node ones
     law = mean = None
 
     def convolve(values, a, s, kinds):
         """Fit, transform and convolve one sample vector under drift a, vol s.
 
         Scalar a and s share one increment spectrum and one forward mean
-        x + a*dt, built again only when they change, and all requested
-        kinds take one real FFT pair; per-node arrays take the row-wise
-        step, which builds each row's law once for all kinds.  Every
+        x + a*dt, and per-node arrays one NodeLaws; either is built
+        again only when a or s changes, so a time-homogeneous solve
+        builds it once.  Scalar coefficients take one real FFT pair for
+        all requested kinds, per-node ones the row-wise step.  Every
         stage is looked up through this module's globals, where
         perfbench wraps it by name.  Returns the recovered node values
         for each requested kind, the fitted coefficients and the largest
@@ -160,13 +164,17 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
         coeffs = fit_coefficients(values, grid)
         eta, regrow = apply_transform(values[:N], x, coeffs)
         if isinstance(a, float) and isinstance(s, float):
-            if law is None or (law.drift, law.vol) != (a, s):
+            if not isinstance(law, IncrementSpectrum) or (law.drift, law.vol) != (a, s):
                 law = IncrementSpectrum(grid, dt, a, s)
                 mean = x + a * dt
             results = convolve_step(eta, law, coeffs.alpha, kinds)
             nodes, forward_drift = mean, 0.0
         else:
-            results = convolve_step_statedep(eta, grid, dt, a, s, coeffs.alpha, kinds)
+            # a scalar a or s compares with every entry of the law's vector
+            same = isinstance(law, NodeLaws) and (law.drift == a).all() and (law.vol == s).all()
+            if not same:
+                law = NodeLaws(grid, dt, a, s)
+            results = convolve_step_statedep(eta, law, coeffs.alpha, kinds)
             nodes, forward_drift = x, a * dt
         for (theta, _), kind in zip(results, kinds):
             theta *= regrow

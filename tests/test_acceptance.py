@@ -24,6 +24,7 @@ from convbsde import (
     GRADIENT,
     IncrementSpectrum,
     MarketParams,
+    NodeLaws,
     STYLE_AMERICAN,
     STYLE_EUROPEAN,
     binomial_bsde,
@@ -263,7 +264,7 @@ def test_criterion_7_property_suite(tmp_path, every_row):
     eta7 = np.maximum(np.exp(x7) - 2.0, 0.0)
     law7 = (0.02, 0.05, 0.8)
     ((fast, _),) = convolve_step(eta7, IncrementSpectrum(g7, *law7), 0.15, (EXPECTATION,))
-    ((slow, _),) = convolve_step_statedep(eta7, g7, *law7, 0.15, (EXPECTATION,))
+    ((slow, _),) = convolve_step_statedep(eta7, NodeLaws(g7, *law7), 0.15, (EXPECTATION,))
     assert np.max(np.abs(fast - slow)) <= 1e-10
 
     # (g) seeded scenario CSVs are byte-identical

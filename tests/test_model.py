@@ -112,6 +112,36 @@ def test_degenerate_vol_aborts_the_solve_naming_node_and_step():
         )
 
 
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        (lambda x: -0.05 + 0.1 * np.tanh(x), r"non-positive vol -0\.1499\d* at node 0"),
+        (lambda x: np.where(x > 1.0, np.nan, 0.2), "non-finite vol nan at node 39"),
+    ],
+    ids=["non-positive", "non-finite"],
+)
+def test_vol_that_degenerates_at_a_later_step_aborts_naming_node_and_step(
+    scheme, later, message
+):
+    # the per-node tables built at steps 3 and 2 serve no later step:
+    # a vol that changes with t is checked again when step 1 rebuilds
+    # them, and on a half-width-5 grid of 2^6 nodes the first bad node
+    # is x = -5 (vol -0.15) or x = 1.09375
+    spec = fbsde(
+        horizon=1.0,
+        steps=4,
+        x_init=0.0,
+        drift=lambda t, x: np.zeros_like(x),
+        vol=lambda t, x: 0.2 + 0.05 * np.tanh(x) if t > 0.3 else later(x),
+        terminal=_identity_terminal,
+        driver=_zero_driver,
+        scheme=scheme,
+    )
+    with pytest.raises(SolveAborted, match="step 1: " + message):
+        solve(spec, build_grid(0.0, 5.0, 6))
+
+
 def test_vol_that_vanishes_off_the_grid_solves():
     # 0.2 within 4.5 of the start and 0 at 5 away: fbsde used to reject
     # it by sampling x_init + 5, a point a half-width-2 grid never reads

@@ -364,6 +364,58 @@ def test_per_node_step_never_evaluates_increment_cf(monkeypatch):
     assert diag.imag_residual.max() > 0
 
 
+def _local_vol_spec(scheme, slope):
+    """A tanh local-vol problem whose vol rises by ``slope`` a unit of time.
+
+    On 2^8 nodes over [-2, 2] with six steps over 0.5, r runs from 1.3
+    to 3.5 at t = 0: some rows take the band, the others the formula.
+    """
+    return fbsde(
+        horizon=0.5,
+        steps=6,
+        x_init=0.0,
+        drift=lambda t, x: 0.03 - 0.5 * (0.13 + 0.06 * np.tanh(x) + slope * t) ** 2,
+        vol=lambda t, x: 0.13 + 0.06 * np.tanh(x) + slope * t,
+        terminal=np.tanh,
+        driver=lambda t, x, y, z: -0.03 * y,
+        scheme=scheme,
+    )
+
+
+@pytest.mark.parametrize("scheme", [EXPLICIT_I, EXPLICIT_II])
+@pytest.mark.parametrize("slope, builds", [(0.0, 1), (0.1, 6)], ids=["homogeneous", "t-dependent"])
+def test_node_tables_are_built_once_per_coefficient_pair(
+    scheme, slope, builds, every_row, monkeypatch
+):
+    # a time-homogeneous local vol builds its per-node tables once per
+    # solve, for both convolutions of every step; a vol that moves with
+    # t builds them again at every step.  Either way every row equals a
+    # solve that builds fresh tables for each convolution.
+    spec = _local_vol_spec(scheme, slope)
+    grid = build_grid(spec.x_init, 2.0, 8)
+    built = Counter()
+
+    class Counted(spectral_module.NodeLaws):
+        def __init__(self, *args):
+            built["laws"] += 1
+            super().__init__(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "NodeLaws", Counted)
+        kept = every_row(spec, grid)
+    assert built == {"laws": builds}
+
+    kernel = solver_module.convolve_step_statedep
+
+    def fresh(eta, laws, alpha, kinds):
+        laws = spectral_module.NodeLaws(laws.grid, laws.step, laws.drift, laws.vol)
+        return kernel(eta, laws, alpha, kinds)
+
+    monkeypatch.setattr(solver_module, "convolve_step_statedep", fresh)
+    for cached, rebuilt in zip(kept, every_row(spec, grid)):
+        assert np.array_equal(cached, rebuilt)
+
+
 def _full_complex_row_residual(eta, grid, laws):
     """Measured imaginary residual of the state-dependent step.
 

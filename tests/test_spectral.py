@@ -15,6 +15,7 @@ from convbsde import (
     IMAG_RESIDUAL_TOLERANCE,
     ImaginaryResidualError,
     IncrementSpectrum,
+    NodeLaws,
     apply_transform,
     build_grid,
     convolve_step,
@@ -82,6 +83,11 @@ def _psi(nu, step, drift, vol, alpha, kind):
 def _constant_step(eta, grid, step, drift, vol, alpha, kinds):
     """The constant-coefficient kernel with the per-node kernel's inputs."""
     return convolve_step(eta, IncrementSpectrum(grid, step, drift, vol), alpha, kinds)
+
+
+def _node_step(eta, grid, step, drift, vol, alpha, kinds):
+    """The per-node kernel with the constant-coefficient kernel's inputs."""
+    return convolve_step_statedep(eta, NodeLaws(grid, step, drift, vol), alpha, kinds)
 
 
 def _one_kind(eta, grid, step, drift, vol, alpha, kind):
@@ -182,7 +188,7 @@ def _standalone(kernel, eta, grid, step, drift, vol, alpha, kind):
 
 
 @pytest.mark.parametrize(
-    "kernel", [_constant_step, convolve_step_statedep], ids=["constant", "per-node"]
+    "kernel", [_constant_step, _node_step], ids=["constant", "per-node"]
 )
 @given(
     **_STEP_LAWS,
@@ -203,7 +209,7 @@ def test_stacked_rows_match_standalone_convolutions(
     # of its own single-kind call, or raises the first residual a
     # single-kind call raises.  The per-node kernel costs O(N^2), so it
     # stops at 2^10 nodes.
-    if kernel is convolve_step_statedep:
+    if kernel is _node_step:
         log2N = min(log2N, 10)
     g = build_grid(0.0, half_width, log2N)
     x = g.space_nodes()
@@ -293,8 +299,8 @@ def test_statedep_matches_fast_path_for_constant_coefficients():
     x = g.space_nodes(include_right=True)
     eta = np.maximum(np.exp(x[:-1]) - 2.0, 0.0)
     fast, _ = _one_kind(eta, g, 0.02, 0.05, 0.8, 0.15, EXPECTATION)
-    ((slow, _),) = convolve_step_statedep(eta, g, 0.02, 0.05, 0.8, 0.15, (EXPECTATION,))
-    ((per_node, _),) = convolve_step_statedep(
+    ((slow, _),) = _node_step(eta, g, 0.02, 0.05, 0.8, 0.15, (EXPECTATION,))
+    ((per_node, _),) = _node_step(
         eta, g, 0.02, np.full(g.N, 0.05), np.full(g.N, 0.8), 0.15, (EXPECTATION,)
     )
     assert np.max(np.abs(fast - slow)) <= 1e-10
@@ -308,7 +314,7 @@ def test_statedep_rows_follow_their_own_multiplier():
     x = g.space_nodes()
     eta = np.exp(-(x**2)) + 0.3 * x
     drifts = 0.1 + 0.05 * np.tanh(x)
-    ((mixed, _),) = convolve_step_statedep(eta, g, 0.05, drifts, 1.0, 0.1, (EXPECTATION,))
+    ((mixed, _),) = _node_step(eta, g, 0.05, drifts, 1.0, 0.1, (EXPECTATION,))
     for k in (0, 7, 16, 25, 31):
         uniform, _ = _one_kind(eta, g, 0.05, drifts[k], 1.0, 0.1, EXPECTATION)
         assert mixed[k] == pytest.approx(uniform[k], abs=1e-11)
@@ -319,9 +325,9 @@ def test_convolve_step_validates_lengths():
     with pytest.raises(ValueError):
         _one_kind(np.zeros(g.N - 1), g, 0.1, 0.0, 1.0, 0.1, EXPECTATION)
     with pytest.raises(ValueError, match="length N"):
-        convolve_step_statedep(
-            np.zeros(g.N), g, 0.1, np.zeros(g.N - 1), 1.0, 0.1, (EXPECTATION,)
-        )
+        NodeLaws(g, 0.1, np.zeros(g.N - 1), 1.0)
+    with pytest.raises(ValueError, match="length N"):
+        convolve_step_statedep(np.zeros(g.N - 1), NodeLaws(g, 0.1, 0.0, 1.0), 0.1, (EXPECTATION,))
 
 
 def test_statedep_names_the_first_non_finite_coefficient_node():
@@ -329,9 +335,9 @@ def test_statedep_names_the_first_non_finite_coefficient_node():
     vol = np.ones(g.N)
     vol[[5, 9]] = np.inf, np.nan
     with pytest.raises(ValueError, match="non-finite vol inf at node 5"):
-        convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, vol, 0.1, (EXPECTATION,))
+        NodeLaws(g, 0.1, 0.0, vol)
     with pytest.raises(ValueError, match="non-finite drift nan at node 0"):
-        convolve_step_statedep(np.zeros(g.N), g, 0.1, np.nan, 1.0, 0.1, (EXPECTATION,))
+        NodeLaws(g, 0.1, np.nan, 1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.2])
@@ -341,24 +347,24 @@ def test_statedep_names_the_first_non_positive_vol_node(bad):
     vol = np.ones(g.N)
     vol[[17, 20]] = bad, -1.0
     with pytest.raises(ValueError, match=f"non-positive vol {bad} at node 17"):
-        convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, vol, 0.1, (EXPECTATION,))
+        NodeLaws(g, 0.1, 0.0, vol)
     with pytest.raises(ValueError, match=f"non-positive vol {bad} at node 0"):
-        convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, bad, 0.1, (EXPECTATION,))
+        NodeLaws(g, 0.1, 0.0, bad)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.1, np.nan])
 def test_statedep_refuses_a_step_that_is_not_positive(step):
-    # the per-row law is built from step directly, so the kernel checks
-    # it itself before any row is summed
+    # the per-row laws are built from step directly, so they check it
+    # themselves before any table is built
     g = build_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="step must be positive"):
-        convolve_step_statedep(np.ones(g.N), g, step, 0.0, 1.0, 0.1, (EXPECTATION, GRADIENT))
+        NodeLaws(g, step, 0.0, 1.0)
 
 
 def test_psi_rejects_unknown_tag():
     g = build_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="unknown psi tag"):
-        convolve_step_statedep(np.zeros(g.N), g, 0.1, 0.0, 1.0, 0.1, ("curvature",))
+        _node_step(np.zeros(g.N), g, 0.1, 0.0, 1.0, 0.1, ("curvature",))
 
 
 def test_band_resolution_is_where_the_dropped_tail_meets_the_tolerance():
@@ -455,7 +461,7 @@ def test_band_matches_the_row_formula_on_resolved_rows(
     law = (step, drift, vol, alpha)
     kinds = (EXPECTATION, GRADIENT)
     with _routes() as routes:
-        banded = convolve_step_statedep(eta, g, *law, kinds)
+        banded = _node_step(eta, g, *law, kinds)
     assert routes == {"band": set(range(g.N)), "formula": set()}
     for (theta, _), (ref, _), kind in zip(banded, _constant_step(eta, g, *law, kinds), kinds):
         bound = 1e-12 * np.max(np.abs(ref)) + _aliasing(eta, g, *law, kind)
@@ -522,7 +528,7 @@ def test_row_formula_matches_the_direct_multiplier_row_by_row(
     kinds = (EXPECTATION, GRADIENT)
     with _routes() as routes, pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral_module, "IMAG_RESIDUAL_TOLERANCE", math.inf)
-        results = convolve_step_statedep(eta, g, step, drifts, vol, alpha, kinds)
+        results = _node_step(eta, g, step, drifts, vol, alpha, kinds)
     assert routes == {"band": set(), "formula": set(range(g.N))}
     for (theta, _), kind in zip(results, kinds):
         ref = _row_by_row(eta, g, step, drifts, vol, alpha, kind)
@@ -536,7 +542,7 @@ def test_rows_just_below_the_band_resolution_keep_the_row_formula():
     for r, route in ((R_STAR * (1 - 1e-9), "formula"), (R_STAR * (1 + 1e-9), "band")):
         vol = r * g.dx / math.sqrt(step)
         with _routes() as routes:
-            convolve_step_statedep(eta, g, step, 0.0, vol, coeffs.alpha, (EXPECTATION,))
+            _node_step(eta, g, step, 0.0, vol, coeffs.alpha, (EXPECTATION,))
         assert routes[route] == set(range(g.N))
 
 
@@ -562,7 +568,7 @@ def test_mixed_resolution_rows_follow_their_own_law(low, high, largest):
     alpha = coeffs.alpha
     kinds = (EXPECTATION, GRADIENT)
     with _routes() as routes:
-        results = convolve_step_statedep(eta, g, step, drift, vol, alpha, kinds)
+        results = _node_step(eta, g, step, drift, vol, alpha, kinds)
     assert routes["band"] and routes["formula"]
     assert routes["band"] | routes["formula"] == set(range(g.N))
 
@@ -594,7 +600,7 @@ def test_banded_rows_match_dense_quadrature(kind):
         interior = slice(g.N // 8, -g.N // 8)
         for alpha in (0.0, 0.3):
             with _routes() as routes:
-                ((theta, _),) = convolve_step_statedep(
+                ((theta, _),) = _node_step(
                     np.exp(-(x**2)), g, **law, alpha=alpha, kinds=(kind,)
                 )
             assert routes["band"] == set(range(g.N))
@@ -610,7 +616,7 @@ def test_banded_rows_match_dense_quadrature(kind):
         def kinked(y):
             return np.exp(-alpha * y) * (_call_payoff(y, 1.0) + coeffs.beta * y + coeffs.kappa)
 
-        ((theta, _),) = convolve_step_statedep(eta, g, **law, alpha=alpha, kinds=(kind,))
+        ((theta, _),) = _node_step(eta, g, **law, alpha=alpha, kinds=(kind,))
         dense = dense_quadrature_step(
             kinked, g, **law, alpha=alpha, kind=kind, quad_points=10 * g.N
         )
@@ -619,3 +625,49 @@ def test_banded_rows_match_dense_quadrature(kind):
         )
     assert errors[0] <= (1e-6 if kind == EXPECTATION else 1e-4)
     assert errors[1] <= errors[0] / 3.5
+
+
+@pytest.mark.parametrize("alpha, drift", [(-3.0, 1.5), (3.0, -1.5)])
+def test_band_sits_on_the_untilted_mean_for_any_alpha(alpha, drift):
+    # the band is centred on the node nearest each row's untilted mean,
+    # here 3 nodes from the row's own, while the tilted kernel's centre
+    # shift_k = mean_k + var_k*alpha sits var_k*alpha/dx nodes off it:
+    # on 2^10 nodes over [-8, 8] at r = 12 that is 6.75 nodes, or 0.56
+    # standard deviations, and the banded rows still meet the row
+    # formula's bound and the dense quadrature's
+    g = build_grid(0.0, 8.0, 10)
+    step, vol = (12 * g.dx) ** 2, 1.0
+    assert abs(round(drift * step / g.dx)) == 3
+    assert abs(vol**2 * step * alpha / g.dx) >= 3
+    x = g.space_nodes()
+    eta = np.exp(-(x**2))
+    kinds = (EXPECTATION, GRADIENT)
+    with _routes() as routes:
+        banded = _node_step(eta, g, step, drift, vol, alpha, kinds)
+    assert routes == {"band": set(range(g.N)), "formula": set()}
+    law = (step, drift, vol, alpha)
+    interior = slice(g.N // 8, -g.N // 8)
+    for (theta, _), (ref, _), kind in zip(banded, _constant_step(eta, g, *law, kinds), kinds):
+        bound = 1e-12 * np.max(np.abs(ref)) + _aliasing(eta, g, *law, kind)
+        assert np.max(np.abs(theta - ref)) <= bound
+        dense = dense_quadrature_step(
+            lambda y: np.exp(-(y**2)), g, *law, kind=kind, quad_points=10 * g.N
+        )
+        assert np.max(np.abs(theta - dense)[interior]) <= 1e-10
+
+
+def test_band_refuses_a_tilt_beyond_its_reach():
+    # a dampening that moves a banded kernel more than BAND_TILT_LIMIT
+    # (about 3.93) standard deviations off its band's centre is refused:
+    # the band would drop more than the residual tolerance of its tail.
+    # At r = 12 on 2^10 nodes over [-8, 8] one increment's standard
+    # deviation is 0.1875, so alpha = 20 moves it 3.75 of them and 21
+    # moves it 3.94
+    limit = spectral_module.BAND_TILT_LIMIT
+    assert limit == pytest.approx(3.93, abs=5e-3)
+    g = build_grid(0.0, 8.0, 10)
+    laws = NodeLaws(g, (12 * g.dx) ** 2, 0.0, 1.0)
+    eta = np.exp(-(g.space_nodes() ** 2))
+    convolve_step_statedep(eta, laws, 20.0, (EXPECTATION,))
+    with pytest.raises(ValueError, match="3.94 standard deviations off its band"):
+        convolve_step_statedep(eta, laws, -21.0, (EXPECTATION,))
