@@ -166,8 +166,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     numerics = _numerics(sections["numerics"])
 
     extra = sections[None]
-    strikes = _as_list("strikes", extra.get("strikes"), RunConfig.strikes, float)
-    n_list = _as_list("n_list", extra.get("n_list"), RunConfig.n_list, int)
+    strikes = _as_list(
+        "strikes", extra.get("strikes"), RunConfig.strikes,
+        lambda entry: float(entry if isinstance(entry, str) else _number("strikes", entry)),
+    )
+    for strike in strikes:
+        try:
+            replace(market, K=strike)
+        except ValueError as exc:
+            raise ConfigError(f"invalid strike {strike:g} in strikes: {exc}") from exc
+    n_list = _as_list("n_list", extra.get("n_list"), RunConfig.n_list, _mesh_size)
     schemes = tuple(
         _parse_scheme(s) for s in _as_list("schemes", extra.get("schemes"), RunConfig.schemes, str)
     )
@@ -193,6 +201,15 @@ def _number(key: str, value):
     ):
         raise ConfigError(f"{key} must be a finite number; got {value!r}")
     return value
+
+
+def _mesh_size(entry) -> int:
+    """A step count of the n list: a positive integer, from a flag's text
+    or a JSON number, else a ValueError."""
+    n = int(entry) if isinstance(entry, str) else _number("n_list", entry)
+    if int(n) != n or n < 1:
+        raise ValueError(f"{entry!r} is not a positive integer")
+    return int(n)
 
 
 def _as_list(key: str, value, default, kind) -> tuple:

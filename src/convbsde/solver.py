@@ -143,42 +143,25 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
     N = grid.N
     dt = spec.step_size
     reflected = spec.barrier is not None
-    # the law of the last step: an IncrementSpectrum and its forward mean
-    # x + a*dt for scalar drift and vol, NodeLaws for per-node ones
-    law = mean = None
 
-    def convolve(values, a, s, kinds):
-        """Fit, transform and convolve one sample vector under drift a, vol s.
+    def convolve(values, law, kinds):
+        """Fit, transform and convolve one sample vector under the step's law.
 
-        Scalar a and s share one increment spectrum and one forward mean
-        x + a*dt, and per-node arrays one NodeLaws; either is built
-        again only when a or s changes, so a time-homogeneous solve
-        builds it once.  Scalar coefficients take one real FFT pair for
-        all requested kinds, per-node ones the row-wise step.  Every
-        stage is looked up through this module's globals, where
-        perfbench wraps it by name.  Returns the recovered node values
-        for each requested kind, the fitted coefficients and the largest
+        An ``IncrementSpectrum`` takes one real FFT pair for all
+        requested kinds, a ``NodeLaws`` the row-wise step; either holds
+        the forward mean and vol that the adjustment reads.  Every stage
+        is looked up through this module's globals, where perfbench
+        wraps it by name.  Returns the recovered node values for each
+        requested kind, the fitted coefficients and the largest
         imaginary residual seen.
         """
-        nonlocal law, mean
         coeffs = fit_coefficients(values, grid)
         eta, regrow = apply_transform(values[:N], x, coeffs)
-        if isinstance(a, float) and isinstance(s, float):
-            if not isinstance(law, IncrementSpectrum) or (law.drift, law.vol) != (a, s):
-                law = IncrementSpectrum(grid, dt, a, s)
-                mean = x + a * dt
-            results = convolve_step(eta, law, coeffs.alpha, kinds)
-            nodes, forward_drift = mean, 0.0
-        else:
-            # a scalar a or s compares with every entry of the law's vector
-            same = isinstance(law, NodeLaws) and (law.drift == a).all() and (law.vol == s).all()
-            if not same:
-                law = NodeLaws(grid, dt, a, s)
-            results = convolve_step_statedep(eta, law, coeffs.alpha, kinds)
-            nodes, forward_drift = x, a * dt
+        kernel = convolve_step if isinstance(law, IncrementSpectrum) else convolve_step_statedep
+        results = kernel(eta, law, coeffs.alpha, kinds)
         for (theta, _), kind in zip(results, kinds):
             theta *= regrow
-            theta -= adjustment_H(nodes, coeffs, kind, forward_drift, s)
+            theta -= adjustment_H(law.forward_mean, coeffs, kind, law.vol)
         return [theta for theta, _ in results], coeffs, max(res for _, res in results)
 
     # the fit's samples: the next row's node values and, at x_N, first
@@ -188,6 +171,10 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
     u_samples = np.empty(N + 1)
     v_samples = np.empty(N + 1) if spec.scheme == EXPLICIT_I else None
     reflection = np.zeros(N) if reflected else None
+    # the step's increment law: an IncrementSpectrum for scalar drift and
+    # vol, NodeLaws for per-node ones, built again only when a or s
+    # changes, so a time-homogeneous solve builds it once
+    law = None
 
     yield n, g_full[:N], np.zeros(N), reflection, None
 
@@ -196,16 +183,24 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
         try:
             a = _node_values(spec.drift, t, x)
             s = _node_values(spec.vol, t, x)
+            if isinstance(a, float) and isinstance(s, float):
+                if not isinstance(law, IncrementSpectrum) or (law.drift, law.vol) != (a, s):
+                    law = IncrementSpectrum(grid, dt, a, s)
+            # a scalar a or s compares with every entry of the law's vector
+            elif not (
+                isinstance(law, NodeLaws) and (law.drift == a).all() and (law.vol == s).all()
+            ):
+                law = NodeLaws(grid, dt, a, s)
             if spec.scheme == EXPLICIT_II:
                 (util, udot_i), coeffs, residual = convolve(
-                    samples, a, s, (EXPECTATION, GRADIENT)
+                    samples, law, (EXPECTATION, GRADIENT)
                 )
                 raw = util + dt * spec.driver(t, x, util, udot_i)
             else:
                 v_next = samples[:N]
-                (vdot,), _, res1 = convolve(samples, a, s, (GRADIENT,))
+                (vdot,), _, res1 = convolve(samples, law, (GRADIENT,))
                 np.add(v_next, dt * spec.driver(t, x, v_next, vdot), out=v_samples[:N])
-                (raw,), coeffs, res2 = convolve(_extend(v_samples), a, s, (EXPECTATION,))
+                (raw,), coeffs, res2 = convolve(_extend(v_samples), law, (EXPECTATION,))
                 udot_i = vdot
                 residual = max(res1, res2)
         except (ImaginaryResidualError, ValueError) as exc:
@@ -219,7 +214,7 @@ def _backward_rows(spec: ProblemSpec, grid: GridPair, x: np.ndarray, g_full: np.
             # u_i - raw equals max(b - raw, 0) bit for bit, and is
             # nonzero exactly where u_i differs from raw
             np.subtract(u_i, raw, out=reflection)
-            active = np.count_nonzero(u_i != raw)
+            active = np.count_nonzero(reflection)
         else:
             u_i[...] = raw
 

@@ -53,9 +53,10 @@ O(N) work: its phase is the outer product of cached coarse and fine
 tables, about sqrt(2N) entries a row, times powers of two complex
 exponentials per call, and its Gaussian takes one real exponential per
 frequency.  Either route returns the expectation E_k and, for a
-gradient, the derivative term D_k, and theta_Z = vol*(alpha*E + D)
-follows in real space.  The Nyquist term of every row's residual comes
-from a cached factor per row, with no call of ``increment_cf``.
+gradient, the gradient sum G_k, the same sum under the multiplier
+(alpha + i*nu), and theta_Z = vol*G follows in real space.  The
+Nyquist term of every row's residual comes from a cached factor per
+row, with no call of ``increment_cf``.
 
 ``dft`` and ``idft`` state the DFT convention: the forward transform
 carries the 1/N factor, the inverse none.
@@ -226,7 +227,8 @@ class IncrementSpectrum:
     the factored multiplier follow alpha.  The phase exp(i*c*m*dnu) is
     the outer product of a coarse table over m = q*B and a fine table
     over m = r < B, with B about sqrt(N/2), so it costs about sqrt(2N)
-    complex exponentials instead of N/2+1.
+    complex exponentials instead of N/2+1.  ``forward_mean`` holds each
+    node's forward mean x_k + drift*step, which ``adjustment_H`` reads.
     """
 
     def __init__(self, grid: GridPair, step: float, drift: float, vol: float):
@@ -240,6 +242,7 @@ class IncrementSpectrum:
         self.step = step
         self.drift = float(drift)
         self.vol = float(vol)
+        self.forward_mean = grid.space_nodes() + self.drift * step
         nu = grid.frequencies()
         self._phi = increment_cf(nu, step, self.drift, self.vol)
         self._vol_i_nu = self.vol * (1j * nu)
@@ -296,7 +299,8 @@ class NodeLaws:
     and holds every table of ``convolve_step_statedep`` that the fitted
     alpha does not enter:
 
-    - var_k, mean_k and each row's route by its resolution
+    - var_k, mean_k, the forward mean x_k + mean_k that ``adjustment_H``
+      reads, and each row's route by its resolution
       r_k = vol_k*sqrt(step)/dx: a row with r_k >= BAND_MIN_RESOLUTION
       whose band of 2*ceil(BAND_STDS*r_k + 1/2) + 1 nodes is narrower
       than N/4 is in ``band_rows`` and takes the banded sum, every other
@@ -331,6 +335,7 @@ class NodeLaws:
         self.vol = _per_row(vol, N, "vol", positive=True)
         self.var = var = self.vol * self.vol * step
         self.mean = mean = self.drift * step
+        self.forward_mean = grid.space_nodes() + mean
         self._nu_max = nu_max = grid.frequencies()[-1]
         self._nyquist = np.exp(1j * nu_max * mean - 0.5 * var * nu_max**2)
         self._vol_i_nu_max = self.vol * (1j * nu_max)
@@ -397,10 +402,10 @@ def _row_formula(sums, rows, eta_hat, laws, alpha, scale):
     so one array
     X_km = exp(i*nu_m*(k*dx + mean_k + var_k*alpha)) exp(-var_k*nu_m^2/2) c_m F_m/N
     gives the expectation sums[0, k] = scale_k sum Re X and, when
-    ``sums`` has a second row, the derivative term
-    sums[1, k] = -scale_k sum nu Im X.  The phase is the outer product
-    of a coarse table over m = q*B and a fine table over m = r < B,
-    B about sqrt(N/2).  ``laws`` holds their alpha-free factor
+    ``sums`` has a second row, the gradient sum
+    sums[1, k] = scale_k sum Re((alpha + i*nu) X).  The phase is the
+    outer product of a coarse table over m = q*B and a fine table over
+    m = r < B, B about sqrt(N/2).  ``laws`` holds their alpha-free factor
     exp(2*pi*i*(k*m mod N)/N) exp(i*nu_m*mean_k); each call multiplies
     in the powers of exp(i*dnu*var_k*alpha) and exp(i*dnu*B*var_k*alpha),
     two complex exponentials a row.  The Gaussian takes N/2+1 real
@@ -412,11 +417,12 @@ def _row_formula(sums, rows, eta_hat, laws, alpha, scale):
     size = nu.size
     # w = c_m F_m / N, zero beyond m = N/2.  Over the (re, im) pairs of
     # p = phase * Gaussian, sum Re(p*w) is a real dot product with the
-    # pairs of conj(w), and -sum Im(p*nu*w) one with those of -i*nu*conj(w)
+    # pairs of conj(w), and sum Re(p*(alpha + i*nu)*w) one with those of
+    # (alpha - i*nu)*conj(w)
     weight = np.zeros(size, dtype=complex)
     weight[: eta_hat.size] = np.conj(eta_hat) * (2.0 / N)
     weight[[0, eta_hat.size - 1]] /= 2.0
-    weights = np.stack((weight, -1j * nu * weight)).view(float)[: len(sums)].T
+    weights = np.stack((weight, (alpha - 1j * nu) * weight)).view(float)[: len(sums)].T
     var = laws.var
     tilt = (1j * grid.dnu * alpha) * var[rows]
     coarse = _powers(np.exp(laws._m_fine.size * tilt), laws._m_coarse.size)
@@ -447,10 +453,10 @@ def _banded_sum(sums, rows, eta, laws, alpha):
     So the expectation sums[0, k] is the row factor exp(alpha*c_k)
     times the gathered eta, weighted by the cached K0 and dotted with
     the column factors exp(alpha*o_j).  When ``sums`` has a second row,
-    the derivative term sums[1, k] weights the same terms by
-    (w - mean_k)/var_k - alpha.  With w - mean_k = (c_k - mean_k) + o_j
-    its first part needs one more column vector, o_j*exp(alpha*o_j).  A
-    block holds about ``_ROW_BLOCK`` * (N/2 + 1) entries.
+    the gradient sum sums[1, k] weights the same terms by
+    (w - mean_k)/var_k.  With w - mean_k = (c_k - mean_k) + o_j that
+    needs one more column vector, o_j*exp(alpha*o_j).  A block holds
+    about ``_ROW_BLOCK`` * (N/2 + 1) entries.
     """
     offsets = laws._band_offsets
     column = np.exp(alpha * offsets)
@@ -470,7 +476,7 @@ def _banded_sum(sums, rows, eta, laws, alpha):
     sums[0, rows] = row * moments[:, 0]
     if len(sums) > 1:
         first = row * (moments[:, 1] + laws._band_gaps * moments[:, 0])
-        sums[1, rows] = first / laws.var[rows] - alpha * sums[0, rows]
+        sums[1, rows] = first / laws.var[rows]
 
 
 def convolve_step_statedep(eta: np.ndarray, laws: NodeLaws, alpha: float, kinds):
@@ -491,10 +497,11 @@ def convolve_step_statedep(eta: np.ndarray, laws: NodeLaws, alpha: float, kinds)
     and above BAND_TILT_LIMIT of them this is a ValueError.  Every other
     row sums out the real-FFT formula, O(N) work per row.  Both routes
     return the expectation E_k and, when a gradient is requested, the
-    derivative term D_k, and each kind follows from them:
-    theta_E = E and theta_Z = vol*(alpha*E + D).  One rfft gives
-    F_{N/2}, and each kind's residual guard takes the largest per-row
-    Nyquist term |Im(psi_k(nu_{N/2}) F_{N/2})| / N over all rows.
+    gradient sum G_k, the row's sum under the multiplier (alpha + i*nu),
+    and each kind follows from them: theta_E = E and theta_Z = vol*G.
+    One rfft gives F_{N/2}, and each kind's residual guard takes the
+    largest per-row Nyquist term |Im(psi_k(nu_{N/2}) F_{N/2})| / N over
+    all rows.
     Returns one ``(theta, residual)`` per kind like ``convolve_step``.
     """
     grid = laws.grid
@@ -518,10 +525,7 @@ def convolve_step_statedep(eta: np.ndarray, laws: NodeLaws, alpha: float, kinds)
         _banded_sum(sums, laws.band_rows, eta, laws, alpha)
     if laws.formula_rows.size:
         _row_formula(sums, laws.formula_rows, eta_hat, laws, alpha, scale)
-    thetas = (
-        sums[0] if kind == EXPECTATION else laws.vol * (alpha * sums[0] + sums[1])
-        for kind in kinds
-    )
+    thetas = (sums[0] if kind == EXPECTATION else laws.vol * sums[1] for kind in kinds)
     return [
         _guard(theta, float(np.max(np.abs(row.imag))), N)
         for theta, row in zip(thetas, nyquist)

@@ -152,33 +152,25 @@ def apply_transform(
     return eta, regrow
 
 
-def adjustment_H(x, coeffs: TransformCoefficients, kind: str, forward_drift, forward_vol):
+def adjustment_H(forward_mean, coeffs: TransformCoefficients, kind: str, forward_vol):
     """Image of the injected linear term under the convolution step.
 
     Subtracting H from the regrown output exp(alpha*x)*theta undoes the
     beta*x + kappa injection in closed form.  H is
-    beta*(x + forward_drift) + kappa for the expectation and
-    beta*forward_vol for the gradient.  ``forward_drift`` is the drift
-    increment a(t, x)*step of the forward process over one time step and
-    ``forward_vol`` its diffusion coefficient; pass 0 and 1 for a pure
-    Brownian problem.  Only the forward mean x + forward_drift enters,
-    so a caller that keeps it across steps passes it as x with a
-    forward_drift of 0.
-
-    A non-finite H is a ValueError.  The expectation's H is affine in
-    the forward mean, so for nodes x in increasing order and a scalar
-    forward_drift it is finite at every node once it is finite at the
-    two ends, and only those are checked.
+    beta*forward_mean + kappa for the expectation and beta*forward_vol
+    for the gradient.  ``forward_mean`` is the conditional mean
+    x + a(t, x)*step of the forward process one time step after node x,
+    which the step's increment law holds, and ``forward_vol`` its
+    diffusion coefficient; for a pure Brownian problem pass the nodes
+    themselves and 1.  A non-finite entry of H is a ValueError.
 
     Parameters
     ----------
-    x : float or ndarray
-        Space node(s) at which to evaluate H, in increasing order.
+    forward_mean : float or ndarray
+        x + a(t_i, x) * step at the node(s) where H is wanted.
     coeffs : TransformCoefficients
     kind : {"expectation", "gradient"}
         Which convolution multiplier the step used.
-    forward_drift : float or ndarray
-        a(t_i, x) * step.
     forward_vol : float or ndarray
         sigma(t_i, x).
 
@@ -186,23 +178,13 @@ def adjustment_H(x, coeffs: TransformCoefficients, kind: str, forward_drift, for
     -------
     float or ndarray
     """
-    x = np.asarray(x, dtype=float)
-    ordered = False
     if kind == EXPECTATION:
-        ordered = getattr(forward_drift, "ndim", 0) == 0
-        mean = x if ordered and forward_drift == 0 else x + forward_drift
-        out = coeffs.beta * mean
+        out = coeffs.beta * np.asarray(forward_mean, dtype=float)
         out += coeffs.kappa
     elif kind == GRADIENT:
         out = coeffs.beta * np.asarray(forward_vol, dtype=float)
     else:
         raise ValueError(f"unknown adjustment kind: {kind!r}")
-    if out.ndim == 0:
-        finite = math.isfinite(out)
-    elif ordered:
-        finite = math.isfinite(out.item(0)) and math.isfinite(out.item(-1))
-    else:
-        finite = np.isfinite(out).all()
-    if not finite:
+    if not np.isfinite(out).all():
         raise ValueError("non-finite adjustment value")
     return out if out.ndim else float(out)

@@ -216,11 +216,15 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         ({"numerics": {"n": None}}, "n must be a finite number"),
         ({"seed": None}, "seed"),
         ({"strikes": [None]}, "strikes"),
+        ({"strikes": [100, True]}, "strikes must be a finite number; got True"),
         ({"out": 5}, "out"),
+        ({"n_list": [10, 12.5, 20]}, "12.5 is not a positive integer"),
     ],
 )
 def test_config_value_of_the_wrong_type_is_a_config_error(config, key, tmp_path, capsys):
-    # each of these used to escape load_config as a TypeError (exit 1)
+    # each of these used to escape load_config as a TypeError (exit 1),
+    # except the JSON true, taken as a strike of 1, and the fractional
+    # step count, truncated to 12
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(config))
     rc = main(["table", "--config", str(path)])
@@ -741,6 +745,29 @@ def test_converge_rejects_repeated_mesh_sizes(capsys):
     assert rc == 2
     assert "distinct mesh sizes; got [50, 50, 100]" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--n-list", "10,0", "--strikes", "100", "--schemes", "explicit2"],
+         "'0' is not a positive integer"),
+        (["table", "--strikes", "100,-5", "--n-list", "10", "--schemes", "explicit2"],
+         "invalid strike -5 in strikes: K must be positive"),
+        (["converge", "--n-list", "10,12,-3"], "'-3' is not a positive integer"),
+    ],
+    ids=["table-zero-steps", "table-negative-strike", "converge-negative-steps"],
+)
+def test_sweep_lists_are_checked_before_any_solve(argv, message, tmp_path, capsys):
+    # each used to solve the cells before the bad entry, print them and
+    # then exit 2 without writing the CSV
+    out = tmp_path / "sweep.csv"
+    rc = main(argv + ["--log2N", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
 
 
 def test_paths_csv_is_deterministic_and_unreflected_for_default_market(

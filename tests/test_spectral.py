@@ -238,6 +238,19 @@ def test_increment_spectrum_takes_finite_scalar_coefficients():
         _constant_step(np.zeros(g.N), g, 0.1, 0.0, 1.0, 0.1, ("curvature",))
 
 
+def test_both_laws_hold_the_forward_mean_bit_for_bit():
+    # the adjustment reads x_k + drift*step off the law, as the step forms it
+    g = build_grid(math.log(100.0), 1.7, 6)
+    step = 0.013
+    x = g.space_nodes()
+    spectrum = IncrementSpectrum(g, step, -0.37, 0.2)
+    assert np.array_equal(spectrum.forward_mean, x + -0.37 * step)
+    drift = 0.05 - 0.3 * np.sin(3.0 * x)
+    for a in (drift, 0.41):
+        laws = NodeLaws(g, step, a, 0.2 + 0.05 * np.tanh(x - x[g.N // 2]))
+        assert np.array_equal(laws.forward_mean, x + a * step)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 @pytest.mark.parametrize("kind", [EXPECTATION, GRADIENT])
 def test_convolution_matches_dense_quadrature(alpha, kind):

@@ -212,14 +212,14 @@ def test_adjustment_closed_forms():
     c = TransformCoefficients(alpha=0.0, beta=2.0, kappa=1.5)
     x = np.array([-1.0, 0.0, 2.0])
     # alpha = 0: expectation image is beta*(x + drift*step) + kappa
-    h = adjustment_H(x, c, EXPECTATION, forward_drift=0.25, forward_vol=1.0)
+    h = adjustment_H(x + 0.25, c, EXPECTATION, forward_vol=1.0)
     assert np.allclose(h, 2.0 * (x + 0.25) + 1.5, rtol=0.0, atol=1e-15)
     # gradient image is beta*vol
-    h = adjustment_H(x, c, GRADIENT, forward_drift=0.0, forward_vol=0.4)
+    h = adjustment_H(x, c, GRADIENT, forward_vol=0.4)
     assert np.allclose(h, 0.8, rtol=0.0, atol=1e-15)
     # alpha does not enter: H is the image after regrowth
     c2 = TransformCoefficients(alpha=0.3, beta=2.0, kappa=1.5)
-    h = adjustment_H(1.0, c2, EXPECTATION, forward_drift=0.0, forward_vol=1.0)
+    h = adjustment_H(1.0, c2, EXPECTATION, forward_vol=1.0)
     assert isinstance(h, float)
     assert h == pytest.approx(3.5, rel=1e-14)
 
@@ -227,7 +227,24 @@ def test_adjustment_closed_forms():
 def test_adjustment_rejects_unknown_kind():
     c = TransformCoefficients(alpha=0.0, beta=1.0, kappa=0.0)
     with pytest.raises(ValueError):
-        adjustment_H(0.0, c, "median", forward_drift=0.0, forward_vol=1.0)
+        adjustment_H(0.0, c, "median", forward_vol=1.0)
+
+
+@pytest.mark.parametrize(
+    "forward_mean",
+    [
+        np.array([0.0, np.inf, 1.0]),
+        np.array([-1.0, 0.5, np.nan, 2.0]),
+        np.array([[0.0, 1.0, 2.0], [-np.inf, 1.0, 2.0]]),
+        np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]]),
+    ],
+    ids=["interior-inf", "interior-nan", "2d-row-start-inf", "2d-interior-nan"],
+)
+def test_adjustment_rejects_any_non_finite_forward_mean(forward_mean):
+    # every entry is checked, not only the two ends of a 1-d input
+    c = TransformCoefficients(alpha=0.0, beta=2.0, kappa=1.5)
+    with pytest.raises(ValueError, match="non-finite adjustment value"):
+        adjustment_H(forward_mean, c, EXPECTATION, forward_vol=1.0)
 
 
 def test_tie_tolerance_constant():
