@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import MAX_LOG2N, MIN_LOG2N, build_grid
+from .grid import build_grid
 from .model import EXPLICIT_I, EXPLICIT_II
 from .oracles import binomial_bsde, black_scholes_call, black_scholes_call_curve
 from .pathsim import GENERATOR, simulate_paths
@@ -230,12 +230,8 @@ def _numerics(fields: dict) -> Numerics:
     numerics = Numerics(
         **{k: _parse_scheme(v) if k == "scheme" else _number(k, v) for k, v in fields.items()}
     )
-    if int(numerics.log2N) != numerics.log2N or not (
-        MIN_LOG2N <= numerics.log2N <= MAX_LOG2N
-    ):
-        raise ConfigError(f"log2N must be an integer in [{MIN_LOG2N}, {MAX_LOG2N}]")
-    if not numerics.half_width > 0:
-        raise ConfigError("half_width must be positive")
+    # the grid's own checks of log2N and half_width, before any solve
+    build_grid(0.0, numerics.half_width, numerics.log2N)
     if int(numerics.n) != numerics.n or numerics.n < 1:
         raise ConfigError("n must be a positive integer")
     return numerics
@@ -350,7 +346,10 @@ def cmd_table(config: RunConfig) -> int:
                     y0, _ = value_at_start(surface)
                     delta = extract_delta(surface, market)
                     ref_price, _ = _reference(market, n)
-                    rel_err = abs(y0 - ref_price) / abs(ref_price) * 100.0
+                    # a call the reference prices at 0 has no relative error
+                    rel_err = (
+                        abs(y0 - ref_price) / abs(ref_price) * 100.0 if ref_price else float("nan")
+                    )
                 except NUMERICAL_ABORTS as exc:
                     print(
                         f"cell (scheme={label}, K={strike}, n={n}) failed: {exc}",
@@ -423,6 +422,11 @@ def cmd_converge(config: RunConfig) -> int:
     ref = black_scholes_call(
         market.S0, market.K, market.r, market.div, market.sigma, market.T
     ).price
+    if not ref > 0:
+        raise ConfigError(
+            f"convergence study needs a positive reference price; the closed form "
+            f"prices strike {market.K:g} at {ref:g}"
+        )
     rows = []
     errors = []
     for idx, n in enumerate(config.n_list):

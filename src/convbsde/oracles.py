@@ -116,7 +116,7 @@ def binomial_bsde(params, n: int, reflected: bool) -> tuple[float, float]:
 
 
 def dense_quadrature_step(
-    eta_samples,
+    eta,
     grid: GridPair,
     step: float,
     drift: float,
@@ -139,10 +139,9 @@ def dense_quadrature_step(
     at nu-i*alpha does), and for the gradient kind additionally weighted
     by the normalized increment (w - drift*step)/(vol*step).
 
-    ``eta_samples`` is either a node-sample vector (length N or N+1,
-    linearly interpolated between nodes) or a callable evaluated
-    exactly at the quadrature points.  No FFT is involved; this is the
-    oracle the spectral path is checked against.
+    ``eta`` is a callable, evaluated exactly at the quadrature points.
+    No FFT is involved; this is the oracle the spectral path is checked
+    against.
     """
     if quad_points < 10 * grid.N:
         raise ValueError(f"quad_points must be at least 10*N = {10 * grid.N}")
@@ -153,17 +152,7 @@ def dense_quadrature_step(
     wq[0] *= 0.5
     wq[-1] *= 0.5
 
-    if callable(eta_samples):
-        ey = np.asarray(eta_samples(y), dtype=float)
-    else:
-        eta_samples = np.asarray(eta_samples, dtype=float)
-        if eta_samples.size == grid.N:
-            nodes = grid.space_nodes()
-        elif eta_samples.size == grid.N + 1:
-            nodes = grid.space_nodes(include_right=True)
-        else:
-            raise ValueError(f"eta_samples must have length {grid.N} or {grid.N + 1}")
-        ey = np.interp(y, nodes, eta_samples)
+    ey = np.asarray(eta(y), dtype=float)
 
     mean = drift * step
     var = vol**2 * step

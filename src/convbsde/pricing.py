@@ -11,7 +11,7 @@ American style adds the payoff itself as a lower barrier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 import numpy as np
 
@@ -172,22 +172,27 @@ def extract_delta(surface: SolutionSurface, params: MarketParams) -> float:
 
 
 def check_domain_coverage(params: MarketParams, half_width: float) -> None:
-    """Raise DomainCoverageBreach unless the grid's log-price half-width
-    spans the drift |a|*T of the terminal log price plus COVERAGE_STDEVS
-    standard deviations sigma*sqrt(T), is at most MAX_HALF_WIDTH, and
-    its top node ln(S0) + half_width stays at or below MAX_LOG_PRICE.
+    """Raise DomainCoverageBreach unless half_width lies in the interval
+    [narrowest, widest] of log-price half-widths that serve the market.
 
-    a is the largest in size of three drifts: the stock's,
-    mu - div - sigma^2/2, and the pricing law's, r - div - sigma^2/2 at
-    the lending rate and R - div - sigma^2/2 at the borrowing rate; the
-    driver's -(mu - r)/sigma*z term moves the price from the first law
-    to the others.  A narrower domain truncates the increment law (or
-    carries its centre towards an edge) and returns a wrong price,
-    often still inside the static no-arbitrage bounds; a wider one
-    loses the price to float64 cancellation, and at a huge S0 overflows
-    float64 inside the solve.  The message names the drift that binds.
-    When no half-width meets all three conditions it says so instead of
-    suggesting one.
+    narrowest is the drift |a|*T of the terminal log price plus
+    COVERAGE_STDEVS standard deviations sigma*sqrt(T), where a is the
+    largest in size of three drifts: the stock's, mu - div - sigma^2/2,
+    and the pricing law's, r - div - sigma^2/2 at the lending rate and
+    R - div - sigma^2/2 at the borrowing rate; the driver's
+    -(mu - r)/sigma*z term moves the price from the first law to the
+    others.  A narrower domain truncates the increment law (or carries
+    its centre towards an edge) and returns a wrong price, often still
+    inside the static no-arbitrage bounds.
+
+    widest is the smaller of two limits: MAX_HALF_WIDTH, beyond which
+    float64 cancellation loses the price, and MAX_LOG_PRICE - ln(S0),
+    beyond which the top node's log price overflows float64 inside the
+    solve.  Each refusal names the condition it violates: an empty
+    interval says that no half-width serves, a half-width below it
+    names the binding drift, and one above it names the binding limit.
+    A suggested half-width is rounded to 6 significant digits towards
+    the interval's inside, and passes this check.
     """
     spread = params.sigma * np.sqrt(params.T)
     carry = params.div + 0.5 * params.sigma * params.sigma
@@ -202,48 +207,46 @@ def check_domain_coverage(params: MarketParams, half_width: float) -> None:
         f"least {COVERAGE_STDEVS:g} times that plus the drift |a|*T = {drift:.6g} "
         f"(a = {rate} - div - sigma^2/2), {narrowest:.6g}"
     )
-    for widest, limit in (
+    widest, limit = min(
         (MAX_HALF_WIDTH, "the widest log-price half-width float64 keeps accurate"),
         (
             MAX_LOG_PRICE - np.log(params.S0),
             f"the room float64 leaves below log price {MAX_LOG_PRICE:g}",
         ),
-    ):
-        if not narrowest <= widest:
-            raise DomainCoverageBreach(
-                f"{needs}, above {widest:.6g}, {limit}: no half-width serves this market"
-            )
+        key=lambda pair: pair[0],
+    )
+    if not narrowest <= widest:
+        raise DomainCoverageBreach(
+            f"{needs}, above {widest:.6g}, {limit}: no half-width serves this market"
+        )
+
+    def suggested(bound: float, rounding: str) -> str:
+        text = _rounded(bound, rounding)
+        return text if narrowest <= float(text) <= widest else repr(float(bound))
+
     if not half_width >= narrowest:
         raise DomainCoverageBreach(
             f"--half-width {half_width:g} is {half_width / spread:.3g} times "
-            f"sigma*sqrt(T); {needs}: use --half-width {_rounded_up(narrowest)} or more"
+            f"sigma*sqrt(T); {needs}: use --half-width "
+            f"{suggested(narrowest, ROUND_CEILING)} or more"
         )
-    if not half_width <= MAX_HALF_WIDTH:
+    if not half_width <= widest:
         raise DomainCoverageBreach(
-            f"--half-width {half_width:g} is above {MAX_HALF_WIDTH:g}, the widest "
-            "log-price half-width float64 keeps accurate: use --half-width "
-            f"{MAX_HALF_WIDTH:g} or less"
-        )
-    top = np.log(params.S0) + half_width
-    if not top <= MAX_LOG_PRICE:
-        # rounded down so that the suggested value passes
-        widest = np.floor((MAX_LOG_PRICE - np.log(params.S0)) * 1e3) / 1e3
-        raise DomainCoverageBreach(
-            f"--half-width {half_width:g} puts the top grid node at log price "
-            f"{top:.8g}; float64 leaves room up to {MAX_LOG_PRICE:g}: use "
-            f"--half-width {widest:g} or less"
+            f"--half-width {half_width:g} is above {widest:.6g}, {limit}: use "
+            f"--half-width {suggested(widest, ROUND_FLOOR)} or less"
         )
 
 
-def _rounded_up(value: float) -> str:
-    """value to 6 significant digits, rounded up so that it passes as a lower bound.
+def _rounded(value: float, rounding: str) -> str:
+    """value to 6 significant digits, rounded up (ROUND_CEILING) or down
+    (ROUND_FLOOR).
 
     The rounding starts from repr(value), the shortest decimal that reads
     back as value, so a value such as 0.70125 prints as itself.
     """
     exact = Decimal(repr(float(value)))
     step = Decimal(1).scaleb(exact.adjusted() - 5)
-    return f"{exact.quantize(step, rounding=ROUND_CEILING).normalize():f}"
+    return f"{exact.quantize(step, rounding=rounding).normalize():f}"
 
 
 def check_price_bounds(price: float, params: MarketParams) -> None:

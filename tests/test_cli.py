@@ -234,6 +234,23 @@ def test_config_value_of_the_wrong_type_is_a_config_error(config, key, tmp_path,
     assert key in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--log2N", "25"], "log2N must be an integer in [2, 24]"),
+        (["--log2N", "1"], "log2N must be an integer in [2, 24]"),
+        (["--half-width", "0"], "half_width must be positive"),
+        (["--half-width", "-1"], "half_width must be positive"),
+    ],
+)
+def test_bad_grid_setting_is_a_config_error(flags, message, capsys):
+    rc = main(["price", "--n", "20", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 def test_invalid_market_value_is_a_config_error(capsys):
     rc = main(["price", "--borrow-rate", "0.001"])  # below the lending rate
     captured = capsys.readouterr()
@@ -485,23 +502,28 @@ def test_widest_accurate_half_width_passes_the_domain_check(capsys):
     assert price == pytest.approx(38.6012, abs=1.5e-3)
 
 
-def test_half_width_beyond_float64_room_is_a_numerical_abort(capsys):
-    # at a huge spot the top node leaves float64 room before the
-    # half-width reaches the accuracy limit
-    rc = main(["price", "--n", "50", "--log2N", "10", "--spot", "1e290", "--half-width", "14"])
+@pytest.mark.parametrize("half_width", ["14", "20"])
+def test_half_width_beyond_float64_room_is_a_numerical_abort(half_width, capsys):
+    # at a huge spot the room below MAX_LOG_PRICE binds before the
+    # accuracy limit: half-width 20 used to be told "14.5 or less", and
+    # 14.5 was then refused for that room
+    argv = ["price", "--n", "50", "--log2N", "10", "--spot", "1e290", "--half-width", half_width]
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert "top grid node at log price 681.74968" in captured.err
-    assert "use --half-width 12.25 or less" in captured.err
+    assert (
+        f"--half-width {half_width} is above 12.2503, the room float64 leaves below "
+        "log price 680: use --half-width 12.2503 or less"
+    ) in captured.err
 
 
 def test_widest_suggested_half_width_passes_the_domain_check():
-    # ln(1e290) + 12.25 is just below MAX_LOG_PRICE, 12.251 just above
+    # ln(1e290) + 12.2503 is just below MAX_LOG_PRICE, 12.2504 just above
     market = MarketParams(S0=1e290)
-    check_domain_coverage(market, 12.25)
-    with pytest.raises(DomainCoverageBreach, match="use --half-width 12.25 or less"):
-        check_domain_coverage(market, 12.251)
+    check_domain_coverage(market, 12.2503)
+    with pytest.raises(DomainCoverageBreach, match="use --half-width 12.2503 or less"):
+        check_domain_coverage(market, 12.2504)
 
 
 def test_drift_that_leaves_the_domain_is_a_numerical_abort(capsys):
@@ -679,6 +701,25 @@ def test_table_marks_a_numerical_abort_as_a_failed_cell(flags, message, tmp_path
     assert err.endswith("numerical abort: 1 of 1 table cells failed\n")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--strikes", "400", "--borrow-rate", "0.03"], ["--strikes", "1000000"]],
+    ids=["tree", "closed-form"],
+)
+def test_table_writes_a_nan_relative_error_against_a_zero_reference(flags, tmp_path, capsys):
+    # the n=10 tree prices K=400 at 0, and the closed form K=1e6: the
+    # relative error divided by zero, and the command exited 1 without
+    # writing the CSV
+    out = tmp_path / "table.csv"
+    argv = ["table", *flags, "--n-list", "10", "--schemes", "explicit2", "--log2N", "8"]
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 0
+    (row,) = _read_csv(out)
+    assert float(row["ref_price"]) == 0.0
+    assert np.isnan(float(row["rel_err_pct"]))
+    assert "rel_err_pct=nan" in capsys.readouterr().out
+
+
 def test_error_surface_writes_node_errors(tmp_path, capsys):
     out = tmp_path / "es.csv"
     rc = main(["error-surface", "--n", "200", "--out", str(out)])
@@ -745,6 +786,19 @@ def test_converge_rejects_repeated_mesh_sizes(capsys):
     assert rc == 2
     assert "distinct mesh sizes; got [50, 50, 100]" in captured.err
     assert captured.out == ""
+
+
+def test_converge_refuses_a_zero_reference_price(tmp_path, capsys):
+    # the closed form prices K=1e6 at 0: every error was the price
+    # itself, the ratios inf and the least-squares order nan, with exit 0
+    out = tmp_path / "conv.csv"
+    rc = main(["converge", "--strike", "1000000", "--n-list", "10,20,40", "--log2N", "8",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "positive reference price; the closed form prices strike 1e+06 at 0" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

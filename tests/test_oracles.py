@@ -171,24 +171,8 @@ def test_binomial_validates_step_count():
 
 def test_dense_quadrature_requires_enough_points():
     g = build_grid(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        dense_quadrature_step(np.zeros(g.N), g, 0.05, 0.0, 1.0, 0.0, EXPECTATION, 10 * g.N - 1)
-
-
-def test_dense_quadrature_accepts_samples_or_callable():
-    g = build_grid(0.0, 2.0, 6)
-    x = g.space_nodes(include_right=True)
-    fun = lambda y: np.exp(-((y - 0.3) ** 2))
-    law = (0.05, 0.0, 1.0, 0.1, EXPECTATION, 10 * g.N)
-    from_callable = dense_quadrature_step(fun, g, *law)
-    from_full = dense_quadrature_step(fun(x), g, *law)
-    from_short = dense_quadrature_step(fun(x[:-1]), g, *law)
-    assert from_callable.shape == (g.N,)
-    # sampled paths interpolate linearly between nodes (the short form
-    # also extends flat past its last node), so the three variants agree
-    # only to interpolation accuracy
-    assert np.max(np.abs(from_full - from_short)) <= 2e-3
-    assert np.max(np.abs(from_callable - from_full)) <= 2e-3
+    with pytest.raises(ValueError, match=rf"quad_points must be at least 10\*N = {10 * g.N}"):
+        dense_quadrature_step(np.zeros_like, g, 0.05, 0.0, 1.0, 0.0, EXPECTATION, 10 * g.N - 1)
 
 
 def test_oracles_take_nothing_from_the_spectral_solver():

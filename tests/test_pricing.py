@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convbsde import (
     EXPLICIT_I,
@@ -239,3 +241,49 @@ def test_domain_coverage_says_when_no_half_width_serves():
     with pytest.raises(DomainCoverageBreach, match="no half-width serves") as info:
         check_domain_coverage(spot, 0.5)
     assert "above 0.9, the room float64 leaves below log price 680" in str(info.value)
+
+
+def test_a_one_point_interval_suggests_its_bound_exactly():
+    # 5*sigma*sqrt(T) equals the room below MAX_LOG_PRICE at S0 = 1e290,
+    # so one half-width passes; rounded to 6 digits, up or down, it
+    # would leave the interval (mu = r = R = sigma^2/2: no drift)
+    widest = float(MAX_LOG_PRICE - np.log(1e290))
+    sigma = widest / COVERAGE_STDEVS
+    half_var = 0.5 * sigma * sigma
+    market = MarketParams(S0=1e290, sigma=sigma, mu=half_var, r=half_var, R=half_var)
+    for half_width, side in ((1.0, "more"), (20.0, "less")):
+        with pytest.raises(DomainCoverageBreach) as info:
+            check_domain_coverage(market, half_width)
+        assert str(info.value).endswith(f"use --half-width {widest!r} or {side}")
+    check_domain_coverage(market, widest)
+
+
+@given(
+    log10_spot=st.floats(-300.0, 300.0),
+    sigma=st.floats(1e-3, 4.0),
+    T=st.floats(1e-3, 30.0),
+    r=st.floats(-0.2, 0.5),
+    spread=st.floats(0.0, 0.5),
+    mu=st.floats(-0.5, 0.5),
+    div=st.floats(0.0, 0.5),
+    half_width=st.floats(1e-3, 1e3),
+)
+# at S0 = 1e290 the room below MAX_LOG_PRICE binds: half-width 20 was
+# told "14.5 or less", and 14.5 was then refused for that room
+@example(log10_spot=290.0, sigma=0.2, T=1.0, r=0.01, spread=0.0, mu=0.05, div=0.0, half_width=20.0)
+@settings(max_examples=300, deadline=None)
+def test_every_suggested_half_width_passes_the_domain_check(
+    log10_spot, sigma, T, r, spread, mu, div, half_width
+):
+    market = MarketParams(
+        S0=10.0**log10_spot, K=10.0**log10_spot, r=r, R=r + spread, mu=mu, div=div,
+        sigma=sigma, T=T,
+    )
+    try:
+        check_domain_coverage(market, half_width)
+    except DomainCoverageBreach as exc:
+        suggested = re.search(r"use --half-width (\S+) or (?:more|less)$", str(exc))
+        if suggested is None:
+            assert str(exc).endswith("no half-width serves this market")
+        else:
+            check_domain_coverage(market, float(suggested.group(1)))
