@@ -21,7 +21,7 @@ from .model import (
     brownian_bsde,
     fbsde,
 )
-from .oracles import BsResult, binomial_bsde, black_scholes_call, dense_quadrature_step
+from .oracles import BsResult, binomial_bsde, black_scholes_call
 from .pathsim import PathBundle, simulate_paths
 from .pricing import (
     STYLE_AMERICAN,
@@ -34,7 +34,7 @@ from .pricing import (
     check_delta_bounds,
     check_domain_coverage,
     check_price_bounds,
-    extract_delta,
+    spot_delta,
 )
 from .solver import SolveAborted, solve, sweep, value_at_start
 from .spectral import (
@@ -46,8 +46,6 @@ from .spectral import (
     NodeLaws,
     convolve_step,
     convolve_step_statedep,
-    dft,
-    idft,
     increment_cf,
 )
 from .transform import (
@@ -74,7 +72,6 @@ __all__ = [
     "BsResult",
     "black_scholes_call",
     "binomial_bsde",
-    "dense_quadrature_step",
     "PathBundle",
     "simulate_paths",
     "MarketParams",
@@ -87,7 +84,7 @@ __all__ = [
     "check_delta_bounds",
     "check_domain_coverage",
     "check_price_bounds",
-    "extract_delta",
+    "spot_delta",
     "SolveAborted",
     "StepDiagnostics",
     "solve",
@@ -101,8 +98,6 @@ __all__ = [
     "NodeLaws",
     "convolve_step",
     "convolve_step_statedep",
-    "dft",
-    "idft",
     "increment_cf",
     "TransformCoefficients",
     "SLOPE_MARGIN",

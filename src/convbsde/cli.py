@@ -43,7 +43,6 @@ from .pricing import (
     check_delta_bounds,
     check_domain_coverage,
     check_price_bounds,
-    extract_delta,
     spot_delta,
 )
 from .solver import SolveAborted, solve, value_at_start
@@ -261,15 +260,19 @@ def _market_problem(market: MarketParams, numerics: Numerics):
     return problem, build_grid(problem.x_init, numerics.half_width, numerics.log2N)
 
 
-def _check_start(market: MarketParams, y0: float, z0: float) -> None:
-    """Raise PriceBoundBreach unless the start price y0 and the delta
-    from z0 lie within their static no-arbitrage bounds."""
-    check_price_bounds(y0, market)
-    check_delta_bounds(spot_delta(z0, market), market)
+def _start_values(market: MarketParams, u0: float, z0: float):
+    """(price, delta, z0) in currency from the unit problem's start
+    pair (u0, z0), once the price and the delta lie within their static
+    no-arbitrage bounds (PriceBoundBreach otherwise)."""
+    check_price_bounds(u0, market)
+    delta = spot_delta(z0, market)
+    check_delta_bounds(delta, market)
+    return market.S0 * u0, delta, market.S0 * z0
 
 
 def _solve_market(market: MarketParams, numerics: Numerics):
-    """Build and solve the pricing problem; return its start row.
+    """Build and solve the pricing problem; return its unit start row
+    and the start values (price, delta, z0) in currency.
 
     Before the solve the half-width must cover the increment law
     (DomainCoverageBreach); after it the price and the delta at the
@@ -278,8 +281,7 @@ def _solve_market(market: MarketParams, numerics: Numerics):
     """
     problem, grid = _market_problem(market, numerics)
     surface = solve(problem, grid)
-    _check_start(market, *value_at_start(surface))
-    return surface
+    return surface, _start_values(market, *value_at_start(surface))
 
 
 def _csv_line(fields) -> str:
@@ -298,9 +300,7 @@ def _write_csv(path: str, header: list[str], lines) -> None:
 
 def cmd_price(config: RunConfig) -> int:
     started = time.perf_counter()
-    surface = _solve_market(config.market, config.numerics)
-    y0, z0 = value_at_start(surface)
-    delta = extract_delta(surface, config.market)
+    _, (y0, delta, z0) = _solve_market(config.market, config.numerics)
     runtime_ms = (time.perf_counter() - started) * 1e3
     print(
         f"price={y0:.4f} delta={delta:.4f} y0={y0:.4f} z0={z0:.4f} "
@@ -340,11 +340,9 @@ def cmd_table(config: RunConfig) -> int:
             for n in config.n_list:
                 label = NAME_BY_SCHEME[scheme]
                 try:
-                    surface = _solve_market(
+                    _, (y0, delta, _) = _solve_market(
                         market, replace(config.numerics, n=n, scheme=scheme)
                     )
-                    y0, _ = value_at_start(surface)
-                    delta = extract_delta(surface, market)
                     ref_price, _ = _reference(market, n)
                     # a call the reference prices at 0 has no relative error
                     rel_err = (
@@ -378,15 +376,18 @@ def cmd_table(config: RunConfig) -> int:
 def cmd_error_surface(config: RunConfig) -> int:
     _require_closed_form(config.market, "error-surface")
     market = config.market
-    surface = _solve_market(market, config.numerics)
-    x = surface.grid.space_nodes()
-    spots = np.exp(x)
+    surface, _ = _solve_market(market, config.numerics)
+    # the solve runs per unit of S0 on x = ln(S/S0): errors in price
+    # scale by S0, deltas do not
+    nodes = surface.grid.space_nodes()
+    unit_spots = np.exp(nodes)
     ref_price, ref_delta = black_scholes_call_curve(
-        spots, market.K, market.r, market.div, market.sigma, market.T
+        unit_spots, market.K / market.S0, market.r, market.div, market.sigma, market.T
     )
-    node_delta = surface.udot / (market.sigma * spots)
-    err_price = np.abs(surface.u - ref_price)
+    node_delta = surface.udot / (market.sigma * unit_spots)
+    err_price = market.S0 * np.abs(surface.u - ref_price)
     err_delta = np.abs(node_delta - ref_delta)
+    x = np.log(market.S0) + nodes
     floor = 1e-300  # keeps log10 finite at exact zeros
     log_errs = np.log10(np.maximum((err_price, err_delta), floor))
     rows = np.column_stack((x, err_price, err_delta, *log_errs)).tolist()
@@ -430,8 +431,7 @@ def cmd_converge(config: RunConfig) -> int:
     rows = []
     errors = []
     for idx, n in enumerate(config.n_list):
-        surface = _solve_market(market, replace(config.numerics, n=n))
-        y0, _ = value_at_start(surface)
+        _, (y0, _, _) = _solve_market(market, replace(config.numerics, n=n))
         err = abs(y0 - ref)
         errors.append(err)
         if idx == 0:
@@ -450,17 +450,23 @@ def cmd_converge(config: RunConfig) -> int:
     return 0
 
 
-def _path_lines(paths):
+def _path_lines(paths, spot: float):
     """Yield the long-format CSV text one path at a time.
 
     Each path is one string of its n+1 lines "id,t,X,S,Y,Z,A\r\n",
     written as ``_csv_line`` writes a record; the t column is formatted
-    once for all paths.
+    once for all paths.  The paths are simulated per unit of ``spot``:
+    X = ln(spot) + x, and Y, Z and A scale by ``spot``.
     """
     times = [f"{t}," for t in paths.times.tolist()]
+    shift = np.log(spot)
     for index, x in enumerate(paths.x):
         head = f"{index},"
-        columns = (x, np.exp(x), paths.y[index], paths.z[index], paths.a[index])
+        log_price = shift + x
+        columns = (
+            log_price, np.exp(log_price),
+            spot * paths.y[index], spot * paths.z[index], spot * paths.a[index],
+        )
         yield "".join([
             f"{head}{t}{','.join(map(str, row))}\r\n"
             for t, row in zip(times, np.column_stack(columns).tolist())
@@ -470,9 +476,11 @@ def _path_lines(paths):
 def cmd_paths(config: RunConfig) -> int:
     problem, grid = _market_problem(config.market, config.numerics)
     paths = simulate_paths(problem, grid, config.path_count, config.seed)
-    _check_start(config.market, paths.y[0, 0], paths.z[0, 0])
+    _start_values(config.market, paths.y[0, 0], paths.z[0, 0])
     out = config.out or "paths.csv"
-    _write_csv(out, ["path_id", "t", "X", "S", "Y", "Z", "A"], _path_lines(paths))
+    _write_csv(
+        out, ["path_id", "t", "X", "S", "Y", "Z", "A"], _path_lines(paths, config.market.S0)
+    )
     print(
         f"simulated {config.path_count} paths with {GENERATOR} "
         f"(seed={config.seed}, per-path seed pair), "

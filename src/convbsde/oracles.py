@@ -1,10 +1,8 @@
 """Independent reference implementations used for verification.
 
-Nothing here shares code with the spectral solver: the closed form, the
-tree and the brute-force quadrature are deliberately separate paths to
-the same quantities, so agreement between them and the solver carries
-evidential weight.  The quadrature step takes its increment law as
-plain numbers and imports nothing from :mod:`convbsde.spectral`.
+Nothing here shares code with the spectral solver: the closed form and
+the tree are deliberately separate paths to the same quantities, so
+agreement between them and the solver carries evidential weight.
 """
 
 from __future__ import annotations
@@ -13,9 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grid import GridPair
-from .transform import EXPECTATION, GRADIENT
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -75,10 +70,13 @@ def binomial_bsde(params, n: int, reflected: bool) -> tuple[float, float]:
 
     The Brownian motion is approximated by a recombining tree with
     increments +-sqrt(dt) at probability one half each, the log price
-    follows X = x0 + a*t + sigma*W with a = mu - div - sigma^2/2, and
-    each backward step applies the driver to the branch average with
-    the martingale-increment estimate of Z, then reflects on the payoff
-    when ``reflected``.  Returns (price, delta) at the root.
+    per unit of S0 follows x = ln(S/S0) = a*t + sigma*W with
+    a = mu - div - sigma^2/2, and each backward step applies the driver
+    to the branch average with the martingale-increment estimate of Z,
+    then reflects on the payoff when ``reflected``.  The call is
+    homogeneous of degree one, so the tree prices strike K/S0 per unit
+    of S0.  Returns (price, delta) at the root: S0 times the unit
+    price, and the unit z over sigma.
     """
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
@@ -86,8 +84,8 @@ def binomial_bsde(params, n: int, reflected: bool) -> tuple[float, float]:
     dt = params.T / n
     sq = np.sqrt(dt)
     a = params.mu - params.div - 0.5 * params.sigma**2
-    x0 = np.log(params.S0)
-    r, big_r, mu, sigma, strike = params.r, params.R, params.mu, params.sigma, params.K
+    r, big_r, mu, sigma = params.r, params.R, params.mu, params.sigma
+    strike = params.K / params.S0
 
     def payoff(x):
         return np.maximum(np.exp(x) - strike, 0.0)
@@ -102,74 +100,13 @@ def binomial_bsde(params, n: int, reflected: bool) -> tuple[float, float]:
 
     # Level i has nodes j = 0..i with j up-moves: W = sq*(2j - i).
     j = np.arange(n + 1)
-    y = payoff(x0 + a * params.T + sigma * sq * (2 * j - n))
+    y = payoff(a * params.T + sigma * sq * (2 * j - n))
     z = 0.0
     for i in range(n - 1, -1, -1):
         expected = 0.5 * (y[1 : i + 2] + y[: i + 1])
         z = (y[1 : i + 2] - y[: i + 1]) / (2.0 * sq)
         y = expected + dt * driver(expected, z)
         if reflected:
-            x_level = x0 + a * (i * dt) + sigma * sq * (2 * j[: i + 1] - i)
+            x_level = a * (i * dt) + sigma * sq * (2 * j[: i + 1] - i)
             y = np.maximum(y, payoff(x_level))
-    delta = float(z[0]) / (sigma * params.S0)
-    return float(y[0]), delta
-
-
-def dense_quadrature_step(
-    eta,
-    grid: GridPair,
-    step: float,
-    drift: float,
-    vol: float,
-    alpha: float,
-    kind: str,
-    quad_points: int,
-) -> np.ndarray:
-    """Brute-force real-space evaluation of one convolution step.
-
-    Computes, per grid node x_k,
-
-        theta(x_k) = integral over [x0, xN] of eta(y) * Kpsi(y - x_k) dy
-
-    by a composite trapezoid rule with ``quad_points`` points.  Kpsi is
-    the real-space counterpart of the frequency multiplier of ``kind``
-    (EXPECTATION or GRADIENT): the Gaussian density of an increment
-    with mean drift*step and variance vol^2*step, tilted by
-    exp(alpha*w) (which is what evaluating the characteristic function
-    at nu-i*alpha does), and for the gradient kind additionally weighted
-    by the normalized increment (w - drift*step)/(vol*step).
-
-    ``eta`` is a callable, evaluated exactly at the quadrature points.
-    No FFT is involved; this is the oracle the spectral path is checked
-    against.
-    """
-    if quad_points < 10 * grid.N:
-        raise ValueError(f"quad_points must be at least 10*N = {10 * grid.N}")
-
-    x_right = grid.x0 + grid.l
-    y = np.linspace(grid.x0, x_right, quad_points)
-    wq = np.full(quad_points, grid.l / (quad_points - 1))
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
-
-    ey = np.asarray(eta(y), dtype=float)
-
-    mean = drift * step
-    var = vol**2 * step
-    weighted = wq * ey
-    out = np.empty(grid.N)
-    x_nodes = grid.space_nodes()
-    chunk = 16
-    for start in range(0, grid.N, chunk):
-        xs = x_nodes[start : start + chunk]
-        w = y[None, :] - xs[:, None]
-        centered = w - mean
-        kernel = np.exp(alpha * w - centered**2 / (2.0 * var)) / np.sqrt(
-            2.0 * np.pi * var
-        )
-        if kind == GRADIENT:
-            kernel *= centered / (vol * step)
-        elif kind != EXPECTATION:
-            raise ValueError(f"unknown psi tag: {kind!r}")
-        out[start : start + chunk] = kernel @ weighted
-    return out
+    return params.S0 * float(y[0]), float(z[0]) / sigma

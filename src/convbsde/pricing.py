@@ -1,4 +1,4 @@
-"""Option pricing problems on the log-price axis.
+"""Option pricing problems on the log-price axis, per unit of S0.
 
 The market has unequal lending and borrowing rates r <= R, an expected
 return mu, a dividend yield div and volatility sigma.  The log price
@@ -6,6 +6,13 @@ X = ln S then drifts at mu - div - sigma^2/2, and the replication
 argument turns the call payoff into a backward equation whose driver
 charges the borrowing spread on the shortfall (y - z/sigma)^-.
 American style adds the payoff itself as a lower barrier.
+
+A call is homogeneous of degree one, C(S0, K) = S0*C(1, K/S0): the
+payoff, the barrier and both driver forms scale with (y, z).  So the
+problem is solved per unit of S0, on x = ln(S/S0) from x = 0 with
+strike K/S0, and the solve never sees the currency unit.  The price and
+z in currency are S0 times the unit values, the delta is the unit z0
+over sigma, and the bounds are checked per unit of S0.
 """
 
 from __future__ import annotations
@@ -16,15 +23,14 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 import numpy as np
 
 from .model import EXPLICIT_II, ProblemSpec, fbsde
-from .model import SolutionSurface
 
 STYLE_EUROPEAN = "european"
 STYLE_AMERICAN = "american"
 STYLES = (STYLE_EUROPEAN, STYLE_AMERICAN)
 
-# Slack on the static price bounds, as a share of S0.  It absorbs the
-# discretization error of prices close to a bound (about 1e-3 at
-# S0 = 100, n = 1000); a breach beyond it is a wrong answer.
+# Slack on the static price bounds per unit of S0.  It absorbs the
+# discretization error of prices close to a bound (about 1e-5 per unit
+# at n = 1000); a breach beyond it is a wrong answer.
 BOUND_SLACK = 1e-4
 # Slack on the static delta bounds.  Over 144 markets (S0 = 100, strikes
 # 20, 50, 90, 100, 150 and 400, sigma 0.05, 0.2 and 0.6 at half-widths
@@ -48,28 +54,27 @@ DELTA_SLACK = 1e-3
 # half-width 0.3 (drift 0.49875) the price is 37.5144 against 39.347.
 COVERAGE_STDEVS = 5.0
 # Widest half-width a solve keeps accurate.  The periodization's linear
-# term beta*x + kappa grows like S0*exp(half_width), and float64 cancels
-# the interior against it.  Absolute error against Black-Scholes
-# (38.6012) at sigma = 1, S0 = K = 100, by half-width:
+# term beta*x + kappa grows like exp(half_width) per unit of S0, and
+# float64 cancels the interior against it.  Absolute error against
+# Black-Scholes (38.6012) at sigma = 1, S0 = K = 100, by half-width:
 #
 #   nodes, n        10      14    14.5      15      20
-#   2^12, 200   6.4e-4  7.1e-4  7.1e-4  7.0e-4  2.8e-3
-#   2^12, 1000  1.8e-4  2.9e-4  2.9e-4  3.5e-4  1.0e-2
-#   2^14, 200   5.7e-4  5.8e-4  5.8e-4  5.5e-4  1.1e-3
-#   2^14, 1000  1.2e-4  1.2e-4  1.6e-4  2.1e-4  9.7e-3
+#   2^12, 200   6.4e-4  7.0e-4  7.2e-4  7.2e-4  3.6e-3
+#   2^12, 1000  1.8e-4  2.6e-4  2.7e-4  3.6e-4  6.2e-3
+#   2^14, 200   5.7e-4  5.8e-4  5.8e-4  5.7e-4  1.9e-3
+#   2^14, 1000  1.2e-4  1.3e-4  1.1e-4  1.8e-4  2.2e-3
 #
-# At 14.5 every row stays within 1.6x of its half-width-10 error; 20
-# fails by up to 80x.  The error is absolute: at 2^12 nodes, n = 1000 and
-# half-width 14.5, sigma = 0.2 calls struck at 200 (price 2.3e-3) and
-# 1000 (5e-30) are off by 1.1e-5 and 1.5e-5, so deep out of the money
-# the relative error is unbounded.
+# Of the half-widths measured, 14.5 is the widest whose error stays
+# within 1.5x of the half-width-10 error on every row (1.45x); 15
+# reaches 1.94x and 20 up to 34x.  The error is absolute: at 2^12 nodes, n = 1000
+# and half-width 14.5, sigma = 0.2 calls struck at 200 (price 2.3e-3)
+# and 1000 (5e-30) are off by 2.4e-5 and 8.2e-5, so deep out of the
+# money the relative error is unbounded.
 MAX_HALF_WIDTH = 14.5
-# Largest log price ln(S0) + half_width the grid's top node may carry.
-# exp overflows float64 above 709.78, and a solve needs room beyond the
-# payoff itself: the FFT sums N samples and the periodization fit scales
-# them further.  The first overflow in a solve was measured at a top log
-# price of 699 for N = 2^8, 694 for 2^12, 692 for 2^16 and 689 for 2^20.
-MAX_LOG_PRICE = 680.0
+# Largest log price ln(S0) + half_width of the grid's top node: the
+# solve runs per unit of S0 and never forms it, but the spot S0*e^x
+# reported there must stay a float64.
+MAX_LOG_PRICE = float(np.log(np.finfo(float).max))
 
 
 class PriceBoundBreach(ArithmeticError):
@@ -120,14 +125,17 @@ class MarketParams:
 def build_pricing_problem(
     params: MarketParams, n: int, scheme: str = EXPLICIT_II
 ) -> ProblemSpec:
-    """Assemble the pricing problem for ``params`` with n time steps.
+    """Assemble the pricing problem for ``params`` with n time steps,
+    per unit of S0: x = ln(S/S0) starts at 0, and the strike is K/S0.
 
-    The solver's z component estimates sigma * du/dx, which is exactly
-    the z the driver formula is written in; the shortfall term divides
-    it by sigma to recover the stock position.
+    Its solution (y, z) is the call's per unit of S0; callers multiply
+    by S0 for currency.  The solver's z component estimates
+    sigma * du/dx, which is exactly the z the driver formula is written
+    in; the shortfall term divides it by sigma to recover the stock
+    position.
     """
     r, big_r, mu, sigma = params.r, params.R, params.mu, params.sigma
-    strike = params.K
+    strike = params.K / params.S0
 
     def terminal(x):
         return np.maximum(np.exp(x) - strike, 0.0)
@@ -146,7 +154,7 @@ def build_pricing_problem(
     return fbsde(
         horizon=params.T,
         steps=n,
-        x_init=float(np.log(params.S0)),
+        x_init=0.0,
         drift=lambda t, x: drift_value,
         vol=lambda t, x: sigma,
         terminal=terminal,
@@ -158,17 +166,13 @@ def build_pricing_problem(
 
 
 def spot_delta(z0: float, params: MarketParams) -> float:
-    """Spot sensitivity at t=0 from z0, the gradient at the start node.
+    """Spot sensitivity at t=0 from z0, the unit problem's gradient at
+    the start node.
 
-    z approximates sigma * du/dx on the log axis, and dS = S dx, so
-    delta = z0 / (sigma * S0).
+    z approximates sigma * du/dx with x = ln(S/S0) and u per unit of S0,
+    and dS = S0 dx at the start, so delta = z0 / sigma.
     """
-    return float(z0) / (params.sigma * params.S0)
-
-
-def extract_delta(surface: SolutionSurface, params: MarketParams) -> float:
-    """Spot sensitivity at t=0 from the start row's center node."""
-    return spot_delta(surface.udot[surface.grid.N // 2], params)
+    return float(z0) / params.sigma
 
 
 def check_domain_coverage(params: MarketParams, half_width: float) -> None:
@@ -187,8 +191,7 @@ def check_domain_coverage(params: MarketParams, half_width: float) -> None:
 
     widest is the smaller of two limits: MAX_HALF_WIDTH, beyond which
     float64 cancellation loses the price, and MAX_LOG_PRICE - ln(S0),
-    beyond which the top node's log price overflows float64 inside the
-    solve.  Each refusal names the condition it violates: an empty
+    beyond which the spot reported at the top node overflows float64.  Each refusal names the condition it violates: an empty
     interval says that no half-width serves, a half-width below it
     names the binding drift, and one above it names the binding limit.
     A suggested half-width is rounded to 6 significant digits towards
@@ -250,23 +253,23 @@ def _rounded(value: float, rounding: str) -> str:
 
 
 def check_price_bounds(price: float, params: MarketParams) -> None:
-    """Raise PriceBoundBreach unless price is a possible call price.
+    """Raise PriceBoundBreach unless price, per unit of S0, is a
+    possible call price.
 
     A call is worth at least 0 and at most the stock it delivers:
-    S0 exp(-div T) for European style, S0 for American style, within
-    BOUND_SLACK * S0.  A price outside these bounds usually means the
-    log-price domain truncates the increment law (too small a
+    exp(-div T) per unit of S0 for European style, 1 for American
+    style, within BOUND_SLACK.  A price outside these bounds usually
+    means the log-price domain truncates the increment law (too small a
     half-width for sigma * sqrt(T)).
     """
-    slack = BOUND_SLACK * params.S0
     if params.style == STYLE_EUROPEAN:
-        upper, name = params.S0 * np.exp(-params.div * params.T), "S0*exp(-div*T)"
+        upper, name = np.exp(-params.div * params.T), "exp(-div*T)"
     else:
-        upper, name = params.S0, "S0"
-    if not -slack <= price <= upper + slack:
+        upper, name = 1.0, "1"
+    if not -BOUND_SLACK <= price <= upper + BOUND_SLACK:
         raise PriceBoundBreach(
-            f"price {price:.6g} is outside the no-arbitrage bounds "
-            f"0 <= C <= {name} = {upper:.6g} (slack {slack:.3g}); "
+            f"price per unit of S0 {price:.6g} is outside the no-arbitrage bounds "
+            f"0 <= C/S0 <= {name} = {upper:.6g} (slack {BOUND_SLACK:g}); "
             "the grid may truncate the increment law: widen --half-width "
             "or check the market parameters"
         )

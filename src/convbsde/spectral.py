@@ -57,9 +57,6 @@ gradient, the gradient sum G_k, the same sum under the multiplier
 (alpha + i*nu), and theta_Z = vol*G follows in real space.  The
 Nyquist term of every row's residual comes from a cached factor per
 row, with no call of ``increment_cf``.
-
-``dft`` and ``idft`` state the DFT convention: the forward transform
-carries the 1/N factor, the inverse none.
 """
 
 from __future__ import annotations
@@ -117,18 +114,6 @@ class ImaginaryResidualError(ArithmeticError):
         super().__init__(
             f"imaginary residual {residual:.3e} exceeds {tolerance:.0e} of the real magnitude"
         )
-
-
-def dft(values: np.ndarray) -> np.ndarray:
-    """Forward DFT, (1/N) * sum_i values_i * exp(-i*j*k*2*pi/N)."""
-    values = np.asarray(values)
-    return np.fft.fft(values) / values.shape[-1]
-
-
-def idft(values: np.ndarray) -> np.ndarray:
-    """Inverse DFT, sum_j values_j * exp(+i*j*k*2*pi/N), no scale factor."""
-    values = np.asarray(values)
-    return np.fft.ifft(values) * values.shape[-1]
 
 
 def increment_cf(nu, step: float, drift, vol):

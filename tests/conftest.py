@@ -8,8 +8,8 @@ from convbsde import build_grid, sweep
 
 @pytest.fixture(scope="session")
 def pricing_grid():
-    """Default log-price grid centered at ln(100) used by pricing tests."""
-    return build_grid(float(np.log(100.0)), 5.0, 12)
+    """Default grid of the pricing problem, on x = ln(S/S0) centred at 0."""
+    return build_grid(0.0, 5.0, 12)
 
 
 def _stacked_rows(spec, grid):

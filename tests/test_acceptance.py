@@ -34,16 +34,14 @@ from convbsde import (
     build_pricing_problem,
     convolve_step,
     convolve_step_statedep,
-    dense_quadrature_step,
-    dft,
-    extract_delta,
     fbsde,
     fit_coefficients,
-    idft,
     solve,
+    spot_delta,
     value_at_start,
 )
 from convbsde.cli import main
+from references import dense_quadrature_step, dft, idft
 
 STRIKES = (90.0, 100.0, 110.0)
 MESHES = (500, 1000, 2000, 5000)
@@ -55,7 +53,15 @@ MC_BAND = (9.3972, 9.4222)
 
 @pytest.fixture(scope="module")
 def log_grid():
-    return build_grid(float(np.log(100.0)), 5.0, 12)
+    """The pricing problem's grid: x = ln(S/S0), centred at 0."""
+    return build_grid(0.0, 5.0, 12)
+
+
+def _start(market, surface):
+    """(price, delta) of ``market`` from its unit solve: S0 times the
+    start value, and the start gradient over sigma."""
+    y0, z0 = value_at_start(surface)
+    return market.S0 * y0, spot_delta(z0, market)
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +80,7 @@ def frictionless_sweep(log_grid):
             market = MarketParams(K=K)
             for n in MESHES:
                 problem = build_pricing_problem(market, n, scheme)
-                surface = solve(problem, log_grid)
-                price, _ = value_at_start(surface)
-                results[(scheme, K, n)] = (price, extract_delta(surface, market))
+                results[(scheme, K, n)] = _start(market, solve(problem, log_grid))
     return results
 
 
@@ -89,7 +93,7 @@ def test_criterion_1_atm_price_accuracy_and_runtime(log_grid):
         started = time.perf_counter()
         surface = solve(build_pricing_problem(market, 1000, EXPLICIT_II), log_grid)
         runtime = time.perf_counter() - started
-        price, _ = value_at_start(surface)
+        price, _ = _start(market, surface)
         rel_err = abs(price - ref) / ref
         worst_err = max(worst_err, rel_err)
         worst_runtime = max(worst_runtime, runtime)
@@ -141,7 +145,7 @@ def test_criterion_4_unequal_rates_price_band(log_grid):
     prices = []
     for n in MESHES:
         surface = solve(build_pricing_problem(market, n, EXPLICIT_II), log_grid)
-        price, _ = value_at_start(surface)
+        price, _ = _start(market, surface)
         prices.append(price)
         assert abs(price - 9.4134) <= 1e-3, f"n={n}: {price:.4f}"
         assert MC_BAND[0] <= price <= MC_BAND[1], f"n={n}: {price:.4f}"
@@ -157,13 +161,13 @@ def test_criterion_5_cross_oracle_agreement(log_grid):
     for K in (90.0, 110.0):
         market = MarketParams(K=K, R=0.03, style=STYLE_AMERICAN)
         surface = solve(build_pricing_problem(market, 2000, EXPLICIT_II), log_grid)
-        conv_price, _ = value_at_start(surface)
+        conv_price, _ = _start(market, surface)
         tree_price, _ = binomial_bsde(market, 2000, reflected=True)
         gaps[K] = abs(conv_price - tree_price)
         assert gaps[K] <= 0.01, f"K={K}: |conv - tree| = {gaps[K]:.4f}"
     market = MarketParams(K=100.0, R=0.03, style=STYLE_AMERICAN)
     surface = solve(build_pricing_problem(market, 2000, EXPLICIT_II), log_grid)
-    conv_delta = extract_delta(surface, market)
+    _, conv_delta = _start(market, surface)
     _, tree_delta = binomial_bsde(market, 2000, reflected=True)
     delta_gap = abs(conv_delta - tree_delta)
     assert delta_gap <= 5e-4, f"ATM delta gap {delta_gap:.2e}"
@@ -178,12 +182,8 @@ def test_criterion_6_dividend_early_exercise_premium(log_grid):
     base = dict(R=0.03, div=0.035)
     american = MarketParams(style=STYLE_AMERICAN, **base)
     european = MarketParams(style=STYLE_EUROPEAN, **base)
-    am, _ = value_at_start(
-        solve(build_pricing_problem(american, 2000, EXPLICIT_II), log_grid)
-    )
-    eu, _ = value_at_start(
-        solve(build_pricing_problem(european, 2000, EXPLICIT_II), log_grid)
-    )
+    am, _ = _start(american, solve(build_pricing_problem(american, 2000, EXPLICIT_II), log_grid))
+    eu, _ = _start(european, solve(build_pricing_problem(european, 2000, EXPLICIT_II), log_grid))
     assert am == pytest.approx(7.5610, abs=5e-3)
     assert eu == pytest.approx(7.4712, abs=5e-3)
     assert am - eu >= 0.05

@@ -6,6 +6,7 @@ spawning subprocesses.
 """
 
 import contextlib
+import dataclasses
 import csv
 import io
 import json
@@ -39,8 +40,9 @@ from convbsde import (
 )
 import convbsde.cli as cli_module
 import convbsde.solver as solver_module
-from convbsde.pricing import DELTA_SLACK, MAX_HALF_WIDTH
+from convbsde.pricing import COVERAGE_STDEVS, DELTA_SLACK, MAX_HALF_WIDTH, MAX_LOG_PRICE
 from convbsde.cli import RunConfig, build_parser, load_config, main
+from references import currency_call_problem
 
 
 def _read_csv(path):
@@ -270,10 +272,10 @@ def test_non_finite_market_value_is_a_config_error(flag, field, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_value_error_inside_solve_exits_with_numerical_abort(capsys, monkeypatch):
-    # a finite but absurd drift overflows the closed-form adjustment in
-    # the first backward step; that is a numerical abort, not a config
-    # error, and the message names the step.  The coverage check refuses
-    # this drift before any solve, so it is switched off to reach the step.
+    # a finite but absurd drift overflows the first backward step; that
+    # is a numerical abort, not a config error, and the message names the
+    # step.  The coverage check refuses this drift before any solve, so
+    # it is switched off to reach the step.
     argv = ["price", "--n", "50", "--log2N", "8", "--mu", "1e307"]
     assert main(argv) == 3
     assert "drift |a|*T = 1e+307" in capsys.readouterr().err
@@ -281,7 +283,7 @@ def test_value_error_inside_solve_exits_with_numerical_abort(capsys, monkeypatch
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 3
-    assert "solve aborted at step 49: non-finite adjustment value" in captured.err
+    assert "solve aborted at step 49: non-finite solution values" in captured.err
 
 
 def test_unresolvable_kernel_exits_with_numerical_abort(capsys):
@@ -326,12 +328,12 @@ def test_oversized_step_record_is_a_config_error(capsys):
 @pytest.mark.parametrize(
     "flags, bound",
     [
-        (["--n", "10", "--log2N", "8", "--mu", "3"], "C <= S0*exp(-div*T) = 100 "),
+        (["--n", "10", "--log2N", "8", "--mu", "3"], "C/S0 <= exp(-div*T) = 1 "),
     ],
 )
 def test_price_outside_no_arbitrage_bounds_is_a_numerical_abort(flags, bound, capsys):
     # at mu = 3 the driver's -(mu - r)/sigma*z term is far too stiff for
-    # ten steps: the solve ends at a price of -42.27
+    # ten steps: the solve ends at a price of -0.4227 per unit of S0
     rc = main(["price", *flags])
     captured = capsys.readouterr()
     assert rc == 3
@@ -405,11 +407,13 @@ def test_overflowing_dampening_aborts_without_a_runtime_warning(capsys):
     # used to overflow with RuntimeWarnings before kappa was found non-finite.
     # The drift 0.05 carries the law five half-widths off such a grid, so
     # the command now refuses it before the solve, and the solve runs here
-    # from the library.
+    # from the library, in currency on a grid centred at ln(100): the
+    # pricing problem per unit of S0 is centred at 0, where exp(-alpha*x)
+    # stays finite.
     flags = ["--sigma", "0.001", "--n", "5", "--half-width", "0.01"]
     assert main(["price", *flags]) == 3
     assert "the drift |a|*T = 0.0499995" in capsys.readouterr().err
-    spec = build_pricing_problem(MarketParams(sigma=0.001), 5, EXPLICIT_II)
+    spec = currency_call_problem(MarketParams(sigma=0.001), 5, EXPLICIT_II)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolveAborted) as info:
@@ -471,9 +475,9 @@ def test_half_width_beyond_the_accuracy_limit_is_a_numerical_abort(flags, half_w
             "above 14.5, the widest",
         ),
         (
-            ["--n", "50", "--log2N", "8", "--spot", "1e295", "--sigma", "0.6"],
+            ["--n", "50", "--log2N", "8", "--spot", "1e307", "--sigma", "0.6"],
             "0.6",
-            "above 0.737398, the room float64 leaves below log price 680",
+            "above 2.88909, the room float64 leaves below log price 709.783",
         ),
     ],
 )
@@ -507,24 +511,78 @@ def test_half_width_beyond_float64_room_is_a_numerical_abort(half_width, capsys)
     # at a huge spot the room below MAX_LOG_PRICE binds before the
     # accuracy limit: half-width 20 used to be told "14.5 or less", and
     # 14.5 was then refused for that room
-    argv = ["price", "--n", "50", "--log2N", "10", "--spot", "1e290", "--half-width", half_width]
+    argv = ["price", "--n", "50", "--log2N", "10", "--spot", "1e305", "--half-width", half_width]
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
     assert (
-        f"--half-width {half_width} is above 12.2503, the room float64 leaves below "
-        "log price 680: use --half-width 12.2503 or less"
+        f"--half-width {half_width} is above 7.49426, the room float64 leaves below "
+        "log price 709.783: use --half-width 7.49425 or less"
     ) in captured.err
 
 
 def test_widest_suggested_half_width_passes_the_domain_check():
-    # ln(1e290) + 12.2503 is just below MAX_LOG_PRICE, 12.2504 just above
-    market = MarketParams(S0=1e290)
-    check_domain_coverage(market, 12.2503)
-    with pytest.raises(DomainCoverageBreach, match="use --half-width 12.2503 or less"):
-        check_domain_coverage(market, 12.2504)
+    # ln(1e305) + 7.49425 is just below MAX_LOG_PRICE, 7.49426 just above
+    market = MarketParams(S0=1e305)
+    check_domain_coverage(market, 7.49425)
+    with pytest.raises(DomainCoverageBreach, match="use --half-width 7.49425 or less"):
+        check_domain_coverage(market, 7.49426)
 
+
+
+def test_price_is_scale_free_in_the_spot(tmp_path):
+    # a call is homogeneous of degree one, C(S0, K) = S0*C(1, K/S0), and
+    # the solve runs per unit of S0: at S0 = K it is the same unit solve
+    # for every S0, so the price is S0 times the S0 = 1 price bit for bit.
+    # 1e16 and 1e300 used to exit 3 ("boundary slope ... rounds the slope
+    # margin 5 away in float64") and 1e-4 moved by 2.1e-5 relative.
+    def written_price(spot):
+        out = tmp_path / f"price_{spot!r}.csv"
+        argv = ["price", "--n", "50", "--log2N", "10", "--spot", repr(spot),
+                "--strike", repr(spot), "--out", str(out)]
+        assert main(argv) == 0, spot
+        return float(_read_csv(out)[0]["price"])
+
+    unit = written_price(1.0)
+    for spot in (1e-12, 1e-4, 100.0, 1e16, 1e300):
+        assert written_price(spot) == spot * unit, spot
+
+
+@pytest.mark.parametrize("sigma", [0.2, 1.0, 2.9])
+def test_largest_admitted_spot_writes_only_finite_values(sigma, tmp_path):
+    # mu = r = R = sigma^2/2 leaves no drift, so the narrowest half-width
+    # is 5*sigma; the largest spot the coverage check admits with it puts
+    # the top node's log price ln(S0) + half-width at float64's limit,
+    # where e^x and every value in currency must stay finite
+    half_width = COVERAGE_STDEVS * sigma
+    half_var = 0.5 * sigma * sigma
+    market = MarketParams(sigma=sigma, mu=half_var, r=half_var, R=half_var)
+
+    def admitted(spot):
+        try:
+            check_domain_coverage(dataclasses.replace(market, S0=spot), half_width)
+        except DomainCoverageBreach as exc:
+            assert "the room float64 leaves" in str(exc)
+            return False
+        return True
+
+    spot = float(np.exp(MAX_LOG_PRICE - half_width))
+    while not admitted(spot):
+        spot = float(np.nextafter(spot, 0.0))
+    while admitted(float(np.nextafter(spot, np.inf))):
+        spot = float(np.nextafter(spot, np.inf))
+    grid = build_grid(0.0, half_width, 10)
+    assert np.isfinite(np.exp(np.log(spot) + grid.x0 + grid.l))
+    flags = ["--n", "50", "--log2N", "10", "--half-width", repr(half_width),
+             "--spot", repr(spot), "--strike", repr(spot), "--sigma", repr(sigma),
+             "--mu", repr(half_var), "--rate", repr(half_var), "--borrow-rate", repr(half_var)]
+    for command, extra, rows in (("error-surface", [], 1024), ("paths", ["--paths", "20"], 1020)):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *flags, *extra, "--out", str(out)]) == 0
+        values = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert values.shape[0] == rows
+        assert np.isfinite(values).all(), command
 
 def test_drift_that_leaves_the_domain_is_a_numerical_abort(capsys):
     # five standard deviations fit, but the drifts carry the law off the
@@ -855,10 +913,12 @@ def test_paths_csv_holds_the_simulated_arrays_exactly(tmp_path):
     paths = simulate_paths(spec, build_grid(spec.x_init, 5.0, 10), 3, 5)
     assert np.any(paths.a[:, -1] > 0.0)
     rows = _read_csv(out)
-    # grouped by path id in order, each path's rows in time order
+    # grouped by path id in order, each path's rows in time order; the
+    # paths run per unit of S0, so X shifts by ln(S0) and Y, Z, A scale
+    S0 = market.S0
     assert [int(r["path_id"]) for r in rows] == [j for j in range(3) for _ in range(51)]
-    for column, values in (("t", np.tile(paths.times, 3)), ("X", paths.x), ("Y", paths.y),
-                           ("Z", paths.z), ("A", paths.a)):
+    for column, values in (("t", np.tile(paths.times, 3)), ("X", np.log(S0) + paths.x),
+                           ("Y", S0 * paths.y), ("Z", S0 * paths.z), ("A", S0 * paths.a)):
         assert [float(r[column]) for r in rows] == values.ravel().tolist()
 
 
@@ -874,7 +934,8 @@ def _csv_writer_bytes(rows) -> bytes:
     [
         (["--style", "american", "--div", "0.035", "--borrow-rate", "0.03"], 4, 7),
         (["--style", "american", "--div", "0.035", "--borrow-rate", "0.03"], 4, 3),
-        (["--style", "american", "--div", "0.035", "--borrow-rate", "0.03"], 1, 7),
+        # seed 7's one path reflects only 1.1e-10, at roundoff; seed 6's 0.30
+        (["--style", "american", "--div", "0.035", "--borrow-rate", "0.03"], 1, 6),
         ([], 2, 7),
     ],
     ids=["american-seed7", "american-seed3", "one-path", "european"],
@@ -890,10 +951,16 @@ def test_paths_csv_is_what_csv_writer_writes(flags, count, seed, tmp_path):
     assert np.any(paths.a[:, -1] > 0.0) == bool(flags)
 
     def rows():
-        # the rows csv.writer used to write, one path at a time
+        # the rows csv.writer used to write, one path at a time, in
+        # currency: X = ln(S0) + x, and Y, Z and A scale by S0
         yield ["path_id", "t", "X", "S", "Y", "Z", "A"]
+        S0 = config.market.S0
         for index, x in enumerate(paths.x):
-            columns = (paths.times, x, np.exp(x), paths.y[index], paths.z[index], paths.a[index])
+            X = np.log(S0) + x
+            columns = (
+                paths.times, X, np.exp(X), S0 * paths.y[index], S0 * paths.z[index],
+                S0 * paths.a[index],
+            )
             for row in np.column_stack(columns).tolist():
                 yield [index, *row]
 

@@ -16,11 +16,12 @@ from convbsde import (
     binomial_bsde,
     black_scholes_call,
     build_grid,
-    dense_quadrature_step,
 )
 import convbsde.oracles as oracles_module
 import convbsde.spectral as spectral_module
 from convbsde.oracles import black_scholes_call_curve, normal_cdf
+import references
+from references import dense_quadrature_step
 
 # 95% Monte-Carlo band for the ATM unequal-rates market (R=0.03, r=0.01)
 MC_BAND_LOW, MC_BAND_HIGH = 9.3972, 9.4222
@@ -162,6 +163,16 @@ def test_binomial_reflection_only_adds_value():
     assert american - european >= 0.01  # the dividend makes waiting costly
 
 
+def test_binomial_tree_prices_per_unit_of_the_spot():
+    # the call is homogeneous of degree one: the tree prices strike K/S0
+    # per unit of S0, so S0 = K = 1e306 is 1e306 times the S0 = K = 1 tree.
+    # Its nodes e^x used to be in currency, and overflowed to (nan, nan)
+    unit_price, unit_delta = binomial_bsde(MarketParams(S0=1.0, K=1.0, R=0.03), 1000, False)
+    huge = binomial_bsde(MarketParams(S0=1e306, K=1e306, R=0.03), 1000, False)
+    assert huge == (1e306 * unit_price, unit_delta)
+    assert np.isfinite(huge).all()
+
+
 def test_binomial_validates_step_count():
     with pytest.raises(ValueError):
         binomial_bsde(MarketParams(), 0, reflected=False)
@@ -176,21 +187,22 @@ def test_dense_quadrature_requires_enough_points():
 
 
 def test_oracles_take_nothing_from_the_spectral_solver():
-    # agreement with the spectral step is evidence only if the
-    # quadrature oracle is not built from it
-    tree = ast.parse(inspect.getsource(oracles_module))
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    imported |= {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-    }
-    assert not [name for name in imported if name and name.split(".")[-1] == "spectral"]
-    bound = [
-        name
-        for name, value in vars(oracles_module).items()
-        if value is spectral_module
-        or getattr(value, "__module__", None) == spectral_module.__name__
-    ]
-    assert bound == []
+    # agreement with the spectral step is evidence only if the closed
+    # form, the tree and the quadrature oracle are not built from it
+    for module in (oracles_module, references):
+        tree = ast.parse(inspect.getsource(module))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        assert not [name for name in imported if name and name.split(".")[-1] == "spectral"]
+        bound = [
+            name
+            for name, value in vars(module).items()
+            if value is spectral_module
+            or getattr(value, "__module__", None) == spectral_module.__name__
+        ]
+        assert bound == []

@@ -21,9 +21,9 @@ from convbsde.pathsim import GENERATOR
 
 @pytest.fixture(scope="module")
 def european_setup():
-    grid = build_grid(float(np.log(100.0)), 5.0, 12)
     market = MarketParams()
     spec = build_pricing_problem(market, 100, EXPLICIT_II)
+    grid = build_grid(spec.x_init, 5.0, 12)
     surface = solve(spec, grid)
     return market, spec, grid, surface
 
@@ -67,8 +67,12 @@ def test_unreflected_problem_has_zero_reflection_path(european_setup):
 def test_terminal_values_track_payoff(european_setup):
     market, spec, grid, _ = european_setup
     paths = simulate_paths(spec, grid, count=20, seed=3)
+    # the paths run per unit of S0: x = ln(S/S0), y = value/S0
     worst = np.max(
-        np.abs(paths.y[:, -1] - np.maximum(np.exp(paths.x[:, -1]) - market.K, 0.0))
+        np.abs(
+            market.S0 * paths.y[:, -1]
+            - np.maximum(market.S0 * np.exp(paths.x[:, -1]) - market.K, 0.0)
+        )
     )
     # terminal row is the exact payoff; only linear interpolation error
     # between nodes remains
@@ -97,9 +101,9 @@ def test_earlier_paths_do_not_depend_on_count(european_setup):
 
 
 def test_reflected_dividend_market_accumulates_reflection():
-    grid = build_grid(float(np.log(100.0)), 5.0, 12)
     market = MarketParams(R=0.03, div=0.035, style=STYLE_AMERICAN)
     spec = build_pricing_problem(market, 200, EXPLICIT_II)
+    grid = build_grid(spec.x_init, 5.0, 12)
     paths = simulate_paths(spec, grid, count=50, seed=0)
     assert np.all(np.diff(paths.a, axis=1) >= -1e-15)  # non-decreasing
     assert np.all(paths.a[:, 0] == 0.0)

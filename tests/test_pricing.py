@@ -22,8 +22,8 @@ from convbsde import (
     check_delta_bounds,
     check_domain_coverage,
     check_price_bounds,
-    extract_delta,
     solve,
+    spot_delta,
     value_at_start,
 )
 from convbsde.pricing import COVERAGE_STDEVS, DELTA_SLACK, MAX_HALF_WIDTH, MAX_LOG_PRICE
@@ -70,12 +70,13 @@ def test_problem_construction():
     spec = build_pricing_problem(m, 250, EXPLICIT_I)
     assert spec.steps == 250
     assert spec.scheme == EXPLICIT_I
-    assert spec.x_init == pytest.approx(np.log(100.0), abs=0.0)
+    # the problem per unit of S0: x = ln(S/S0) starts at 0, strike K/S0
+    assert spec.x_init == 0.0
     # log-price drift mu - div - sigma^2/2
-    x = np.array([4.0, 4.6, 5.0])
+    x = np.array([-0.6, 0.0, 0.4])
     assert np.allclose(spec.drift(0.0, x), 0.05 - 0.02 - 0.02, atol=1e-15)
     assert np.allclose(spec.vol(0.0, x), 0.2, atol=1e-15)
-    assert np.allclose(spec.terminal(x), np.maximum(np.exp(x) - 110.0, 0.0))
+    assert np.array_equal(spec.terminal(x), np.maximum(np.exp(x) - 1.1, 0.0))
     # the barrier is the payoff itself for early exercise
     assert spec.barrier is not None
     assert np.array_equal(spec.barrier(0.3, x), spec.terminal(x))
@@ -135,19 +136,20 @@ def test_equal_rates_driver_drops_the_spread_term_bit_for_bit():
 
 def test_european_price_and_delta_match_closed_form(pricing_grid):
     m = MarketParams()
-    surface = solve(build_pricing_problem(m, 200, EXPLICIT_II), pricing_grid)
-    y0, _ = value_at_start(surface)
+    y0, z0 = value_at_start(solve(build_pricing_problem(m, 200, EXPLICIT_II), pricing_grid))
     ref = black_scholes_call(m.S0, m.K, m.r, m.div, m.sigma, m.T)
-    assert abs(y0 - ref.price) / ref.price <= 5e-4
-    assert abs(extract_delta(surface, m) - ref.delta) <= 1e-3
+    assert abs(m.S0 * y0 - ref.price) / ref.price <= 5e-4
+    assert abs(spot_delta(z0, m) - ref.delta) <= 1e-3
 
 
-def test_extract_delta_reads_center_gradient(pricing_grid):
+def test_spot_delta_reads_center_gradient(pricing_grid):
+    # the unit problem's z0 is sigma*du/dx at x = ln(S/S0) = 0, where
+    # dS = S0*dx: the delta is z0/sigma, whatever S0
     m = MarketParams()
     surface = solve(build_pricing_problem(m, 60, EXPLICIT_II), pricing_grid)
     mid = pricing_grid.N // 2
-    expected = surface.udot[mid] / (m.sigma * m.S0)
-    assert extract_delta(surface, m) == expected
+    expected = surface.udot[mid] / m.sigma
+    assert spot_delta(surface.udot[mid], m) == expected
 
 
 def test_dividend_creates_early_exercise_premium(pricing_grid):
@@ -156,12 +158,14 @@ def test_dividend_creates_early_exercise_premium(pricing_grid):
     am, _ = value_at_start(solve(build_pricing_problem(m_am, 300, EXPLICIT_II), pricing_grid))
     eu, _ = value_at_start(solve(build_pricing_problem(m_eu, 300, EXPLICIT_II), pricing_grid))
     assert am > eu
-    assert am - eu >= 0.05
+    # prices per unit of S0 = 100
+    assert 100.0 * (am - eu) >= 0.05
 
 
 def test_grid_must_be_centered_on_log_spot():
+    # the unit problem starts at x = ln(S/S0) = 0, not at ln(S0)
     m = MarketParams()
-    wrong = build_grid(0.0, 5.0, 10)
+    wrong = build_grid(float(np.log(m.S0)), 5.0, 10)
     with pytest.raises(ValueError):
         solve(build_pricing_problem(m, 10, EXPLICIT_II), wrong)
 
@@ -169,16 +173,17 @@ def test_grid_must_be_centered_on_log_spot():
 @pytest.mark.parametrize(
     "market, upper, bound",
     [
-        (MarketParams(div=0.5, T=2.0), 100.0 * np.exp(-1.0), "S0*exp(-div*T)"),
-        (MarketParams(div=0.5, T=2.0, style=STYLE_AMERICAN), 100.0, "S0"),
+        (MarketParams(div=0.5, T=2.0), np.exp(-1.0), "exp(-div*T)"),
+        (MarketParams(div=0.5, T=2.0, style=STYLE_AMERICAN), 1.0, "1"),
     ],
 )
 def test_price_bounds_allow_the_static_range_plus_slack(market, upper, bound):
-    slack = 1e-4 * market.S0
+    # prices per unit of S0
+    slack = 1e-4
     for price in (-slack, 0.0, upper, upper + slack):
         check_price_bounds(price, market)
     for price in (-2 * slack, upper + 2 * slack, float("nan")):
-        with pytest.raises(PriceBoundBreach, match=rf"C <= {re.escape(bound)} ") as info:
+        with pytest.raises(PriceBoundBreach, match=rf"C/S0 <= {re.escape(bound)} ") as info:
             check_price_bounds(price, market)
         assert "--half-width" in str(info.value)
 
@@ -240,17 +245,19 @@ def test_domain_coverage_says_when_no_half_width_serves():
     spot = MarketParams(S0=float(np.exp(MAX_LOG_PRICE - 0.9)))
     with pytest.raises(DomainCoverageBreach, match="no half-width serves") as info:
         check_domain_coverage(spot, 0.5)
-    assert "above 0.9, the room float64 leaves below log price 680" in str(info.value)
+    assert f"above 0.9, the room float64 leaves below log price {MAX_LOG_PRICE:g}" in str(
+        info.value
+    )
 
 
 def test_a_one_point_interval_suggests_its_bound_exactly():
-    # 5*sigma*sqrt(T) equals the room below MAX_LOG_PRICE at S0 = 1e290,
+    # 5*sigma*sqrt(T) equals the room below MAX_LOG_PRICE at S0 = 1e305,
     # so one half-width passes; rounded to 6 digits, up or down, it
     # would leave the interval (mu = r = R = sigma^2/2: no drift)
-    widest = float(MAX_LOG_PRICE - np.log(1e290))
+    widest = float(MAX_LOG_PRICE - np.log(1e305))
     sigma = widest / COVERAGE_STDEVS
     half_var = 0.5 * sigma * sigma
-    market = MarketParams(S0=1e290, sigma=sigma, mu=half_var, r=half_var, R=half_var)
+    market = MarketParams(S0=1e305, sigma=sigma, mu=half_var, r=half_var, R=half_var)
     for half_width, side in ((1.0, "more"), (20.0, "less")):
         with pytest.raises(DomainCoverageBreach) as info:
             check_domain_coverage(market, half_width)

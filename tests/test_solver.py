@@ -24,7 +24,6 @@ from convbsde import (
     brownian_bsde,
     build_grid,
     build_pricing_problem,
-    dft,
     fbsde,
     fit_coefficients,
     increment_cf,
@@ -32,6 +31,7 @@ from convbsde import (
     sweep,
     value_at_start,
 )
+from references import currency_call_problem, dft
 
 
 def _zero_driver(t, x, y, z):
@@ -616,8 +616,9 @@ _PINNED = {
 def test_constant_step_reproduces_its_pinned_values(scheme, style):
     # a rewrite of the constant-coefficient step may move these by
     # roundoff; a lost or sign-flipped term of the fit, the transform,
-    # the multipliers or the adjustment moves them far more
-    spec = build_pricing_problem(MarketParams(style=style, div=0.035), 50, scheme)
+    # the multipliers or the adjustment moves them far more.  The pins
+    # are of the call in currency, on a grid centred at ln(100)
+    spec = currency_call_problem(MarketParams(style=style, div=0.035), 50, scheme)
     surface = solve(spec, build_grid(spec.x_init, 5.0, 10))
     start, *fitted = _PINNED[scheme, style]
     assert value_at_start(surface) == pytest.approx(start, rel=1e-9, abs=0.0)

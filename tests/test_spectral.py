@@ -20,12 +20,10 @@ from convbsde import (
     build_grid,
     convolve_step,
     convolve_step_statedep,
-    dense_quadrature_step,
-    dft,
     fit_coefficients,
-    idft,
     increment_cf,
 )
+from references import dense_quadrature_step, dft, idft
 
 R_STAR = spectral_module.BAND_MIN_RESOLUTION
 
