@@ -11,6 +11,12 @@ reads (``COMMANDS``).  Every output is deterministic given (config,
 seed) except the wall-clock ``runtime_ms`` that ``price`` prints and
 writes.
 
+``paths`` formats its CSV in contiguous path ranges, one per usable
+CPU: the command's process formats the first range, and a forked
+worker formats each of the others into an anonymous temporary file
+that is appended in order.  ``taskset`` limits the count, and the bytes
+do not depend on it.
+
 Exit codes: 0 success, 2 configuration error (including an unread flag
 and a request too large to store), 3 numerical abort (including a
 log-price domain too narrow for the volatility or too wide for float64
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -291,11 +298,68 @@ def _csv_line(fields) -> str:
     return ",".join(map(str, fields)) + "\r\n"
 
 
-def _write_csv(path: str, header: list[str], lines) -> None:
-    """Write the header and then an iterable of CSV text, consuming it once."""
-    with open(path, "w", newline="") as handle:
-        handle.write(_csv_line(header))
-        handle.writelines(lines)
+def _write_csv(path: str, header: list[str], lines, forked=()) -> None:
+    """Write the header and then CSV text; on any failure remove the file.
+
+    ``lines`` is an iterable of text that this process consumes once.
+    Each (label, lines) pair of ``forked`` is consumed at the same time
+    by a forked worker process into an anonymous temporary file beside
+    ``path``, and the workers' bytes follow ``lines`` in order.  Every
+    worker is reaped before this returns or raises: a worker that exits
+    non-zero raises an OSError naming its label and exit status, and a
+    failure here kills the workers still running.
+    """
+    handle = open(path, "w", newline="")  # before the try: a path it cannot open stays
+    workers = []
+    try:
+        with handle:
+            handle.write(_csv_line(header))
+            if forked:
+                import shutil
+                import tempfile
+
+                handle.flush()  # a worker must not inherit unwritten text
+                folder = os.path.dirname(os.path.abspath(path))
+                for label, part in forked:
+                    scratch = tempfile.TemporaryFile(dir=folder)
+                    workers.append((label, scratch, _fork_writer(part, scratch)))
+            handle.writelines(lines)
+            handle.flush()  # the workers' bytes go to the binary buffer below
+            while workers:
+                label, scratch, pid = workers[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[0]
+                with scratch:
+                    if status:
+                        raise OSError(f"the worker writing {label} exited with status {status}")
+                    scratch.seek(0)
+                    shutil.copyfileobj(scratch, handle.buffer)
+    except BaseException:
+        os.remove(path)
+        raise
+    finally:
+        if workers:
+            import signal
+
+            for _, scratch, pid in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                scratch.close()
+
+
+def _fork_writer(lines, scratch) -> int:
+    """Fork a worker that writes the CSV text ``lines`` into the open
+    binary file ``scratch`` and exits, 0 on success; return its pid."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            with open(scratch.fileno(), "w", newline="", closefd=False) as text:
+                text.writelines(lines)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
 
 
 def cmd_price(config: RunConfig) -> int:
@@ -450,26 +514,35 @@ def cmd_converge(config: RunConfig) -> int:
     return 0
 
 
-def _path_lines(paths, spot: float):
-    """Yield the long-format CSV text one path at a time.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _path_lines(paths, spot: float, indices: range):
+    """Yield the long-format CSV text of the paths in ``indices``, one
+    path at a time.
 
     Each path is one string of its n+1 lines "id,t,X,S,Y,Z,A\r\n",
-    written as ``_csv_line`` writes a record; the t column is formatted
-    once for all paths.  The paths are simulated per unit of ``spot``:
-    X = ln(spot) + x, and Y, Z and A scale by ``spot``.
+    written as ``_csv_line`` writes a record (a float's repr is its
+    str); the t column is formatted once for all paths.  The paths are
+    simulated per unit of ``spot``: X = ln(spot) + x, and Y, Z and A
+    scale by ``spot``.
     """
     times = [f"{t}," for t in paths.times.tolist()]
     shift = np.log(spot)
-    for index, x in enumerate(paths.x):
+    for index in indices:
         head = f"{index},"
-        log_price = shift + x
+        log_price = shift + paths.x[index]
         columns = (
             log_price, np.exp(log_price),
             spot * paths.y[index], spot * paths.z[index], spot * paths.a[index],
         )
         yield "".join([
-            f"{head}{t}{','.join(map(str, row))}\r\n"
-            for t, row in zip(times, np.column_stack(columns).tolist())
+            f"{head}{t}{X!r},{S!r},{Y!r},{Z!r},{A!r}\r\n"
+            for t, X, S, Y, Z, A in zip(times, *(column.tolist() for column in columns))
         ])
 
 
@@ -478,8 +551,17 @@ def cmd_paths(config: RunConfig) -> int:
     paths = simulate_paths(problem, grid, config.path_count, config.seed)
     _start_values(config.market, paths.y[0, 0], paths.z[0, 0])
     out = config.out or "paths.csv"
+    # contiguous path ranges, one per usable CPU: this process formats
+    # the first while a forked worker formats each of the others
+    count = min(_usable_cpus(), config.path_count) if hasattr(os, "fork") else 1
+    bounds = [config.path_count * k // count for k in range(count + 1)]
+    first, *rest = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    spot = config.market.S0
     _write_csv(
-        out, ["path_id", "t", "X", "S", "Y", "Z", "A"], _path_lines(paths, config.market.S0)
+        out,
+        ["path_id", "t", "X", "S", "Y", "Z", "A"],
+        _path_lines(paths, spot, first),
+        [(f"paths {r.start}..{r.stop - 1}", _path_lines(paths, spot, r)) for r in rest],
     )
     print(
         f"simulated {config.path_count} paths with {GENERATOR} "

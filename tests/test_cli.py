@@ -10,9 +10,11 @@ import dataclasses
 import csv
 import io
 import json
+import os
 import re
 import shlex
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -965,6 +967,93 @@ def test_paths_csv_is_what_csv_writer_writes(flags, count, seed, tmp_path):
                 yield [index, *row]
 
     assert out.read_bytes() == _csv_writer_bytes(rows())
+
+
+# seed 6's first path reflects 0.30, and path j is the same path at
+# every --paths, so A grows at every count below
+AMERICAN_PATHS = ["paths", "--style", "american", "--div", "0.035", "--borrow-rate", "0.03",
+                  "--n", "50", "--log2N", "10", "--seed", "6"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_paths_csv_is_the_same_on_every_number_of_cpus(cpus, count, tmp_path, monkeypatch):
+    forked = []
+
+    def recording_fork(lines, scratch):
+        forked.append(None)
+        return fork_writer(lines, scratch)
+
+    fork_writer = cli_module._fork_writer
+    monkeypatch.setattr(cli_module, "_fork_writer", recording_fork)
+    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "paths.csv"
+    argv = [*AMERICAN_PATHS, "--paths", str(count), "--out", str(out)]
+    assert main(argv) == 0
+    # one contiguous range per CPU, never an empty one: the first is
+    # this process's, each other one a worker's
+    assert len(forked) == min(cpus, count) - 1
+    _no_child_left()
+    config = load_config(build_parser().parse_args(argv))
+    spec = build_pricing_problem(config.market, 50, EXPLICIT_II)
+    paths = simulate_paths(spec, build_grid(spec.x_init, 5.0, 10), count, 6)
+    assert paths.a[0, -1] > 0.0
+    S0 = config.market.S0
+    rows = [["path_id", "t", "X", "S", "Y", "Z", "A"]]
+    for index, x in enumerate(paths.x):
+        X = np.log(S0) + x
+        columns = (paths.times, X, np.exp(X), S0 * paths.y[index], S0 * paths.z[index],
+                   S0 * paths.a[index])
+        rows.extend([index, *row] for row in np.column_stack(columns).tolist())
+    assert out.read_bytes() == _csv_writer_bytes(rows)
+
+
+class _Failed(Exception):
+    """A failure planted in one range of the paths CSV."""
+
+
+def _failing_path_lines(monkeypatch, failing_start, worker_sleeps=False):
+    """Make the range starting at failing_start raise; with
+    worker_sleeps, the workers' ranges sleep instead of finishing."""
+    path_lines = cli_module._path_lines
+
+    def planted(paths, spot, indices):
+        if indices.start == failing_start:
+            raise _Failed(f"range {indices}")
+        if worker_sleeps and indices.start:
+            time.sleep(60)
+        yield from path_lines(paths, spot, indices)
+
+    monkeypatch.setattr(cli_module, "_path_lines", planted)
+
+
+def test_failed_worker_names_its_range_and_leaves_no_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 3)
+    # the ranges are paths 0..0, 1..2 and 3..4
+    _failing_path_lines(monkeypatch, failing_start=1)
+    out = tmp_path / "paths.csv"
+    with pytest.raises(OSError, match=r"the worker writing paths 1\.\.2 exited with status 1"):
+        main([*AMERICAN_PATHS, "--paths", "5", "--out", str(out)])
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_failure_in_the_writing_process_stops_its_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 3)
+    _failing_path_lines(monkeypatch, failing_start=0, worker_sleeps=True)
+    out = tmp_path / "paths.csv"
+    started = time.perf_counter()
+    with pytest.raises(_Failed):
+        main([*AMERICAN_PATHS, "--paths", "5", "--out", str(out)])
+    # the sleeping workers were killed, not waited for
+    assert time.perf_counter() - started < 30
+    assert not out.exists()
+    _no_child_left()
 
 
 @pytest.mark.parametrize(
